@@ -24,12 +24,9 @@ from .invariants import (
     SingularityReport,
     VDegreeQuery,
     classify,
-    hodge_trivial,
     jacobian_witness,
     minimal_exponent,
     v_filtration_membership,
-    w1_trivial,
-    weight_nilpotency_bound,
     witness_annotation,
 )
 from .monomial import MonomialIdeal
@@ -69,7 +66,6 @@ __all__ = [
     "groebner_basis",
     "hockey_stick",
     "hodge_ideal_snc",
-    "hodge_trivial",
     "ideal_membership",
     "is_convenient",
     "jacobian_ideal",
@@ -81,8 +77,6 @@ __all__ = [
     "surjectivity_threshold",
     "v_filtration_membership",
     "verify_snc_theorems",
-    "w1_trivial",
-    "weight_nilpotency_bound",
     "weighted_hodge_ideal_snc",
     "witness_annotation",
 ]

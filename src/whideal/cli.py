@@ -70,13 +70,13 @@ def cmd_analyze(args) -> int:
             raise ValidationError(f"witness {args.witness!r} must be a single monic monomial")
         (m,) = witness_poly.terms
         p = report.p_level if report.p_level is not None else 0
-        limit = args.groebner_limit
+        limit = args.groebner_limit or 0  # lifts each limit, never lowers it
         outside = jacobian_witness(
             f,
             m,
             p,
-            var_limit=limit if limit is not None else DEFAULT_VAR_LIMIT,
-            term_limit=limit if limit is not None else DEFAULT_TERM_LIMIT,
+            var_limit=max(DEFAULT_VAR_LIMIT, limit),
+            term_limit=max(DEFAULT_TERM_LIMIT, limit),
         )
         report = report.with_notes(
             [witness_annotation(f, m, p, outside, report.nilpotency_upper)]

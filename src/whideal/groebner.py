@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import SizeGuardError, ValidationError
-from .poly import Polynomial, grevlex_key
+from .poly import Polynomial, divides, grevlex_key
 
 DEFAULT_VAR_LIMIT = 8
 DEFAULT_TERM_LIMIT = 40
@@ -17,10 +17,6 @@ DEFAULT_TERM_LIMIT = 40
 
 def _lead(terms: dict) -> tuple:
     return max(terms, key=grevlex_key)
-
-
-def _divides(a: tuple, b: tuple) -> bool:
-    return all(x <= y for x, y in zip(a, b))
 
 
 def _lcm(a: tuple, b: tuple) -> tuple:
@@ -53,7 +49,7 @@ def _normal_form(f: dict, basis: list[tuple]) -> dict:
         m = _lead(work)
         c = work.pop(m)
         for lead, terms in basis:
-            if _divides(lead, m):
+            if divides(lead, m):
                 shift = tuple(a - b for a, b in zip(m, lead))
                 scale = c / terms[lead]
                 for e, ce in terms.items():
@@ -82,7 +78,7 @@ def _buchberger(gens: list[dict]) -> list[dict]:
         for k in range(len(basis)):
             if k in (i, j):
                 continue
-            if _divides(leads[k], lcm_ij):
+            if divides(leads[k], lcm_ij):
                 a = (min(i, k), max(i, k))
                 b = (min(j, k), max(j, k))
                 if a not in pairs and b not in pairs:
@@ -119,7 +115,7 @@ def _reduce_basis(basis: list[dict]) -> list[dict]:
     kept_leads: list[tuple] = []
     for i in order:
         lead = _lead(basis[i])
-        if not any(_divides(other, lead) for other in kept_leads):
+        if not any(divides(other, lead) for other in kept_leads):
             kept.append(basis[i])
             kept_leads.append(lead)
     # Fully reduce tails and normalize to monic.

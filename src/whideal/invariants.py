@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .groebner import DEFAULT_TERM_LIMIT, DEFAULT_VAR_LIMIT, ideal_membership
-from .newton import NewtonPolyhedron, compute_polyhedron, facets_json, is_convenient
+from .newton import NewtonPolyhedron, checked_support, compute_polyhedron, facets_json, is_convenient
 from .poly import Exponent, Polynomial, jacobian_ideal
 
 ASSUMPTION_BANNER = (
@@ -45,24 +45,19 @@ class VDegreeQuery:
             raise ValidationError(f"need 0 < alpha <= 1, got {self.alpha}")
 
 
-def _check_origin_singular(f: Polynomial):
-    for e in f.support():
-        if sum(e) <= 1:
-            raise ValidationError(
-                "f is smooth at the origin (constant or linear term present)"
-            )
-
-
 def _polyhedron_for(f: Polynomial, allow_nonconvenient: bool) -> tuple[NewtonPolyhedron, bool]:
-    polyhedron = compute_polyhedron(f)
-    _check_origin_singular(f)
+    # Reject before the C(m, n) facet enumeration, but after the input
+    # errors that compute_polyhedron reports first.
+    checked_support(f)
+    if any(sum(e) <= 1 for e in f.support()):
+        raise ValidationError("f is smooth at the origin (constant or linear term present)")
     convenient = is_convenient(f)
     if not convenient and not allow_nonconvenient:
         raise ValidationError(
             "f is not convenient (a pure power of every variable is required); "
             "pass allow_nonconvenient to report the raw weight anyway"
         )
-    return polyhedron, convenient
+    return compute_polyhedron(f), convenient
 
 
 def minimal_exponent(f: Polynomial, *, allow_nonconvenient: bool = False) -> Fraction:
@@ -74,36 +69,6 @@ def minimal_exponent(f: Polynomial, *, allow_nonconvenient: bool = False) -> Fra
 def v_filtration_membership(f: Polynomial, query: VDegreeQuery, *, allow_nonconvenient: bool = False) -> bool:
     """Decide dt^j delta in V^alpha: exactly when alpha~ >= j + alpha."""
     return minimal_exponent(f, allow_nonconvenient=allow_nonconvenient) >= query.j + query.alpha
-
-
-def hodge_trivial(f: Polynomial, p: int, *, allow_nonconvenient: bool = False) -> bool:
-    """I_p trivial exactly when the minimal exponent is >= p+1."""
-    if p < 0:
-        raise ValidationError(f"need p >= 0, got {p}")
-    return minimal_exponent(f, allow_nonconvenient=allow_nonconvenient) >= p + 1
-
-
-def w1_trivial(f: Polynomial, p: int, *, allow_nonconvenient: bool = False) -> bool:
-    """I_p^{W_1} trivial exactly when the minimal exponent is > p+1."""
-    if p < 0:
-        raise ValidationError(f"need p >= 0, got {p}")
-    return minimal_exponent(f, allow_nonconvenient=allow_nonconvenient) > p + 1
-
-
-def weight_nilpotency_bound(f: Polynomial, *, allow_nonconvenient: bool = False) -> int:
-    """r+1 for r = number of facets through the diagonal point.
-
-    Meaningful when the minimal exponent is an integer p+1: then
-    (t dt)^(r+1) dt^p delta lies in V^{>1}, equivalently 1 belongs to
-    I_p^{W_{r+1}}.
-    """
-    polyhedron, _ = _polyhedron_for(f, allow_nonconvenient)
-    value = polyhedron.shifted_weight_one()
-    if value.denominator != 1 or value < 1:
-        raise ValidationError(
-            f"minimal exponent {value} is not of the form p+1 for integer p >= 0"
-        )
-    return polyhedron.minimizing_facet_count() + 1
 
 
 def jacobian_witness(
@@ -219,7 +184,7 @@ def classify(f: Polynomial, *, allow_nonconvenient: bool = False) -> Singularity
     exact_type = None
     if p_level is not None:
         p = p_level
-        nilpotency = r + 1
+        nilpotency = r + 1  # (t dt)^(r+1) dt^p delta lies in V^(>1)
         notes.append(
             f"I_{p}^(W_1) equals the maximal ideal of the singular point "
             f"(minimal exponent {p + 1})"

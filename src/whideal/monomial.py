@@ -3,13 +3,7 @@
 from __future__ import annotations
 
 from .errors import ValidationError
-from .poly import Exponent, grevlex_key
-
-
-def divides(a: Exponent, b: Exponent) -> bool:
-    if len(a) != len(b):
-        raise ValidationError(f"length mismatch: {len(a)} vs {len(b)}")
-    return all(x <= y for x, y in zip(a, b))
+from .poly import Exponent, divides, grevlex_key
 
 
 class MonomialIdeal:
@@ -71,6 +65,8 @@ class MonomialIdeal:
     def multiply(self, m: Exponent) -> "MonomialIdeal":
         """The ideal x^m * self."""
         m = tuple(int(x) for x in m)
+        if len(m) != self.n or any(x < 0 for x in m):
+            raise ValidationError(f"shift {m} is not an exponent in {self.n} variables")
         return MonomialIdeal(
             self.n, [tuple(a + b for a, b in zip(g, m)) for g in self.generators]
         )

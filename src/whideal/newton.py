@@ -22,22 +22,30 @@ def _dot(a, b) -> Fraction:
     return sum((Fraction(x) * y for x, y in zip(a, b)), Fraction(0))
 
 
+def _pivot(rows, r, c) -> None:
+    """Scale row r to a 1 in column c, then clear column c from the other rows.
+
+    The one row operation of this module: both eliminations and the simplex.
+    """
+    pivot_row = rows[r] = [v / rows[r][c] for v in rows[r]]
+    for i, row in enumerate(rows):
+        factor = row[c]
+        if i != r and factor:
+            rows[i] = [x - factor * y for x, y in zip(row, pivot_row)]
+
+
 def _covector_for(points) -> tuple[Fraction, ...] | None:
     """Solve <A, B> = 1 for all A in points; None if not uniquely solvable."""
     n = len(points[0])
-    m = [[Fraction(p[j]) for j in range(n)] + [Fraction(1)] for p in points]
+    rows = [[Fraction(x) for x in p] + [Fraction(1)] for p in points]
+    pivots = []
     for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
+        r = next((r for r in range(n) if r not in pivots and rows[r][col]), None)
+        if r is None:
             return None
-        m[col], m[pivot] = m[pivot], m[col]
-        pv = m[col][col]
-        m[col] = [v / pv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                m[r] = [m[r][k] - factor * m[col][k] for k in range(n + 1)]
-    return tuple(m[i][n] for i in range(n))
+        _pivot(rows, r, col)
+        pivots.append(r)
+    return tuple(rows[r][n] for r in pivots)
 
 
 def _lp_feasible(points, target) -> bool:
@@ -45,21 +53,19 @@ def _lp_feasible(points, target) -> bool:
 
     Phase-1 simplex over Q with Bland's rule.  Row 0 is the convex-combination
     equality (one artificial variable); the n coordinate rows get slacks and
-    start basic since target >= 0 componentwise.
+    start basic since target >= 0 componentwise.  The last column of the
+    tableau is the right-hand side.
     """
     m = len(points)
     if m == 0:
         return False
     n = len(target)
     art = m + n
-    ncols = art + 1
-    rows = [[Fraction(1)] * m + [Fraction(0)] * n + [Fraction(1)]]
-    rhs = [Fraction(1)]
+    rows = [[Fraction(1)] * m + [Fraction(0)] * n + [Fraction(1), Fraction(1)]]
     for i in range(n):
         row = [Fraction(points[j][i]) for j in range(m)] + [Fraction(0)] * (n + 1)
         row[m + i] = Fraction(1)
-        rows.append(row)
-        rhs.append(Fraction(target[i]))
+        rows.append(row + [Fraction(target[i])])
     basis = [art] + [m + i for i in range(n)]
     while True:
         in_basis = set(basis)
@@ -73,14 +79,14 @@ def _lp_feasible(points, target) -> bool:
                 entering = j
                 break
         if entering < 0:
-            value = sum(rhs[i] for i in range(len(rows)) if basis[i] == art)
+            value = sum(rows[i][-1] for i in range(len(rows)) if basis[i] == art)
             return value == 0
         leave = -1
         best = None
         for i in range(len(rows)):
             a = rows[i][entering]
             if a > 0:
-                ratio = rhs[i] / a
+                ratio = rows[i][-1] / a
                 if best is None or ratio < best or (
                     ratio == best and basis[i] < basis[leave]
                 ):
@@ -88,14 +94,7 @@ def _lp_feasible(points, target) -> bool:
                     leave = i
         if leave < 0:
             raise AssertionError("phase-1 objective cannot be unbounded")
-        pv = rows[leave][entering]
-        rows[leave] = [v / pv for v in rows[leave]]
-        rhs[leave] /= pv
-        for i in range(len(rows)):
-            if i != leave and rows[i][entering]:
-                factor = rows[i][entering]
-                rows[i] = [rows[i][k] - factor * rows[leave][k] for k in range(ncols)]
-                rhs[i] -= factor * rhs[leave]
+        _pivot(rows, leave, entering)
         basis[leave] = entering
 
 
@@ -105,23 +104,13 @@ def _affine_rank(points) -> int:
         return 0
     base = pts[0]
     rows = [[Fraction(x - y) for x, y in zip(p, base)] for p in pts[1:]]
-    rank = 0
-    ncols = len(base)
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [v / pv for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [rows[r][k] - factor * rows[rank][k] for k in range(ncols)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    pivots = []
+    for col in range(len(base)):
+        r = next((r for r in range(len(rows)) if r not in pivots and rows[r][col]), None)
+        if r is not None:
+            _pivot(rows, r, col)
+            pivots.append(r)
+    return len(pivots)
 
 
 @dataclass(frozen=True)
@@ -213,6 +202,18 @@ def is_convenient(f: Polynomial) -> bool:
     return all(pure)
 
 
+def checked_support(f: Polynomial) -> tuple[Exponent, ...]:
+    """The sorted support of f, once f is known to have a Newton polyhedron."""
+    if f.n == 0:
+        raise ValidationError("need at least one variable")
+    if f.is_zero:
+        raise ValidationError("the zero polynomial has no Newton polyhedron")
+    support = tuple(sorted(f.support()))
+    if (0,) * f.n in support:
+        raise ValidationError("constant term present: f(0) != 0")
+    return support
+
+
 def compute_polyhedron(f: Polynomial) -> NewtonPolyhedron:
     """Compact facets and vertices of the Newton polyhedron of f.
 
@@ -222,14 +223,8 @@ def compute_polyhedron(f: Polynomial) -> NewtonPolyhedron:
     and keeping the strictly positive covectors that support the whole
     support set finds them all.  Coplanar subsets collapse by covector.
     """
-    if f.n == 0:
-        raise ValidationError("need at least one variable")
-    if f.is_zero:
-        raise ValidationError("the zero polynomial has no Newton polyhedron")
-    support = tuple(sorted(f.support()))
+    support = checked_support(f)
     n = f.n
-    if (0,) * n in support:
-        raise ValidationError("constant term present: f(0) != 0")
     found: dict[tuple[Fraction, ...], tuple[Exponent, ...]] = {}
     for subset in combinations(support, n):
         cov = _covector_for(subset)

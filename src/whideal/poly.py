@@ -35,6 +35,11 @@ def grevlex_key(exponent: Exponent):
     return (sum(exponent), tuple(-e for e in reversed(exponent)))
 
 
+def divides(a: Exponent, b: Exponent) -> bool:
+    """x^a divides x^b; both exponents have the same length."""
+    return all(x <= y for x, y in zip(a, b))
+
+
 class Polynomial:
     """Immutable-by-convention polynomial with a fixed variable order.
 

@@ -142,6 +142,15 @@ def test_analyze_size_guard_exit_and_lift(capsys):
     assert "witness x1 lies in J(f): no obstruction" in out
 
 
+def test_groebner_limit_never_lowers_the_guard(capsys):
+    # 8 generator terms: within the default term limit, above N = 5
+    f = "x^4 + y^4 + z^4 + u^4 + x*y*z*u"
+    code, out, _ = run_main(capsys, ["analyze", f, "--witness", "x*y"])
+    assert code == 0
+    lifted = run_main(capsys, ["analyze", f, "--witness", "x*y", "--groebner-limit", "5"])
+    assert lifted == (0, out, "")
+
+
 def test_unknown_subcommand_exits_two(capsys):
     assert run_main(capsys, ["nope"])[0] == 2
 

@@ -17,13 +17,10 @@ from whideal import (
     ValidationError,
     VDegreeQuery,
     classify,
-    hodge_trivial,
     jacobian_witness,
     minimal_exponent,
     parse_polynomial,
     v_filtration_membership,
-    w1_trivial,
-    weight_nilpotency_bound,
     witness_annotation,
 )
 
@@ -111,44 +108,31 @@ def test_v_filtration_cusp():
 
 def test_hodge_threshold_is_weak_inequality():
     # alpha~ = 1 exactly: I_0 trivial but its W_1 piece is not
-    node = parse_polynomial("x^2 + y^2")
-    assert hodge_trivial(node, 0)
-    assert not w1_trivial(node, 0)
+    rep = classify(parse_polynomial("x^2 + y^2"))
+    assert rep.hodge_triviality[0]
+    assert not rep.w1_triviality[0]
 
 
 def test_thresholds_three_variable_quadric():
-    f = parse_polynomial("x^2 + y^2 + z^2")  # alpha~ = 3/2
-    assert hodge_trivial(f, 0) and w1_trivial(f, 0)
-    assert not hodge_trivial(f, 1) and not w1_trivial(f, 1)
+    rep = classify(parse_polynomial("x^2 + y^2 + z^2"))  # alpha~ = 3/2
+    assert rep.hodge_triviality[0] and rep.w1_triviality[0]
+    assert not rep.hodge_triviality[1] and not rep.w1_triviality[1]
 
 
 def test_thresholds_four_variable_quadric():
-    f = parse_polynomial("x^2 + y^2 + z^2 + w^2")  # alpha~ = 2
-    assert hodge_trivial(f, 1)
-    assert not w1_trivial(f, 1)
-    assert not hodge_trivial(f, 2)
-
-
-def test_threshold_rejects_negative_level():
-    f = parse_polynomial("x^2 + y^2")
-    with pytest.raises(ValidationError):
-        hodge_trivial(f, -1)
-    with pytest.raises(ValidationError):
-        w1_trivial(f, -1)
+    rep = classify(parse_polynomial("x^2 + y^2 + z^2 + w^2"))  # alpha~ = 2
+    assert rep.hodge_triviality[1]
+    assert not rep.w1_triviality[1]
+    assert not rep.hodge_triviality[2]
 
 
 # -- weight nilpotency bound --------------------------------------------------
 
 
 def test_nilpotency_bound_examples():
-    assert weight_nilpotency_bound(parse_polynomial("x^2 + y^2")) == 2
-    assert weight_nilpotency_bound(parse_polynomial("x^2 + y^2 + z^2 + w^2")) == 2
-    assert weight_nilpotency_bound(parse_polynomial(WORKED)) == 3
-
-
-def test_nilpotency_bound_needs_integer_exponent():
-    with pytest.raises(ValidationError):
-        weight_nilpotency_bound(parse_polynomial("x^2 + y^3"))
+    assert classify(parse_polynomial("x^2 + y^2")).nilpotency_upper == 2
+    assert classify(parse_polynomial("x^2 + y^2 + z^2 + w^2")).nilpotency_upper == 2
+    assert classify(parse_polynomial(WORKED)).nilpotency_upper == 3
 
 
 # -- Jacobian witnesses -------------------------------------------------------
@@ -256,6 +240,31 @@ def test_classify_nonconvenient_banner():
     assert NONCONVENIENT_BANNER in rep.notes
 
 
+def test_cheap_rejections_skip_the_enumeration(monkeypatch):
+    def no_enumeration(f):
+        raise AssertionError("compute_polyhedron ran for a rejected input")
+
+    monkeypatch.setattr("whideal.invariants.compute_polyhedron", no_enumeration)
+    cases = [
+        (
+            "x^2*y + y^2",
+            "f is not convenient (a pure power of every variable is required); "
+            "pass allow_nonconvenient to report the raw weight anyway",
+        ),
+        ("x + y^2", "f is smooth at the origin (constant or linear term present)"),
+        # compute_polyhedron's own input errors still come first
+        ("1 + x^2 + y^2", "constant term present: f(0) != 0"),
+    ]
+    for text, message in cases:
+        for call in (classify, minimal_exponent):
+            with pytest.raises(ValidationError) as err:
+                call(parse_polynomial(text))
+            assert str(err.value) == message
+    with pytest.raises(ValidationError) as err:
+        classify(Polynomial(("x",), {}))
+    assert str(err.value) == "the zero polynomial has no Newton polyhedron"
+
+
 def test_classify_permutation_invariant():
     rep_f = classify(parse_polynomial(WORKED))
     # cycle the variables: same model up to coordinate relabeling
@@ -309,11 +318,13 @@ def test_diagonal_exponent_formula(exps):
 
 
 @settings(derandomize=True, deadline=None)
-@given(exponent_lists, st.integers(min_value=0, max_value=4))
-def test_w1_triviality_implies_hodge_triviality(exps, p):
-    f = diagonal(exps)
-    if w1_trivial(f, p):
-        assert hodge_trivial(f, p)
+@given(exponent_lists)
+def test_w1_triviality_implies_hodge_triviality(exps):
+    rep = classify(diagonal(exps))
+    assert rep.w1_triviality.keys() == rep.hodge_triviality.keys()
+    for p, trivial in rep.w1_triviality.items():
+        if trivial:
+            assert rep.hodge_triviality[p]
 
 
 @settings(derandomize=True, deadline=None)

@@ -42,6 +42,13 @@ def test_multiply_shifts_and_reminimalizes():
     assert shifted == MonomialIdeal(2, [(2, 2), (1, 3)])
 
 
+def test_multiply_validates_shift():
+    with pytest.raises(ValidationError, match=r"shift \(-1,\) is not an exponent in 1 variables"):
+        MonomialIdeal(1, [(5,)]).multiply((-1,))
+    with pytest.raises(ValidationError, match=r"shift \(1, 1, 5\) is not an exponent in 2 variables"):
+        MonomialIdeal(2, [(1, 0), (0, 1)]).multiply((1, 1, 5))
+
+
 def test_render_and_json():
     ideal = MonomialIdeal(2, [(2, 0), (0, 2)])
     assert ideal.render() == "(x1^2, x2^2)"

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracle_newton import facet_oracle, rho_one_oracle
+from oracle_newton import _cramer_unit, facet_oracle, rho_one_oracle
 from whideal import (
     Polynomial,
     ValidationError,
@@ -12,6 +14,7 @@ from whideal import (
     is_convenient,
     parse_polynomial,
 )
+from whideal.newton import _affine_rank, _covector_for
 
 
 def test_cusp_single_facet():
@@ -177,3 +180,32 @@ def test_matches_brute_force_oracle():
         got = [(facet.covector, facet.incident_points) for facet in np_.facets]
         assert got == facet_oracle(support)
         assert np_.shifted_weight_one() == rho_one_oracle(support)
+
+
+# -- the pivot kernel ---------------------------------------------------------
+
+
+def _point_sets(count):
+    """Small integer point sets in dimension 1..4; count(n) points each."""
+    return st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.tuples(*[st.integers(0, 3)] * n), min_size=count(n), max_size=count(n)
+        )
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_point_sets(lambda n: n))
+def test_covector_matches_cramer_oracle(points):
+    # Entries 0..3 make many subsets singular, so the None branch is exercised.
+    assert _covector_for(points) == _cramer_unit(points)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 6).flatmap(lambda k: _point_sets(lambda n: k)))
+def test_affine_rank_matches_sympy(points):
+    sympy = pytest.importorskip("sympy")
+    base = points[0]
+    diffs = [[x - y for x, y in zip(p, base)] for p in points[1:]]
+    expected = sympy.Matrix(diffs).rank() if diffs else 0
+    assert _affine_rank(points) == expected
