@@ -135,6 +135,20 @@ def test_nilpotency_bound_examples():
     assert classify(parse_polynomial(WORKED)).nilpotency_upper == 3
 
 
+def test_nilpotency_bound_needs_integer_exponent():
+    # The bound r+1 is only meaningful when the minimal exponent is p+1 for
+    # an integer p >= 0; otherwise classify reports no bound at all.
+    for text, exponent in [
+        ("x^2 + y^3", Fraction(5, 6)),
+        ("x^3 + y^3", Fraction(2, 3)),
+        ("x^2 + y^5", Fraction(7, 10)),
+    ]:
+        rep = classify(parse_polynomial(text))
+        assert rep.minimal_exponent == exponent
+        assert rep.p_level is None
+        assert rep.nilpotency_upper is None
+
+
 # -- Jacobian witnesses -------------------------------------------------------
 
 
