@@ -23,7 +23,7 @@ from .dims import (
 from .errors import ParseError, SizeGuardError, ValidationError
 from .groebner import DEFAULT_TERM_LIMIT, DEFAULT_VAR_LIMIT
 from .invariants import classify, jacobian_witness, witness_annotation
-from .poly import parse_polynomial
+from .poly import fraction_text, parse_polynomial
 from .snc import SncModel, hodge_ideal_snc, verify_snc_theorems, weighted_hodge_ideal_snc
 
 
@@ -41,18 +41,21 @@ def _pass_fail(ok: bool) -> str:
     return _style("PASS", "32") if ok else _style("FAIL", "31")
 
 
-def _frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
 def _emit_json(payload: dict):
     print(json.dumps(payload, indent=2))
 
 
+def _read_text(path: str, what: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {what} {path!r}: {exc}") from exc
+
+
 def _read_polynomial(args):
     if args.file is not None:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = _read_text(args.file, "polynomial file")
     else:
         text = args.polynomial
     variables = None
@@ -111,7 +114,7 @@ def cmd_analyze(args) -> int:
         print(f"  exact type: ({report.exact_type[0]},{report.exact_type[1]})")
     print("  compact facets:")
     for facet in report.polyhedron.facets:
-        cov = ", ".join(_frac(b) for b in facet.covector)
+        cov = ", ".join(fraction_text(b) for b in facet.covector)
         pts = " ".join("(" + ",".join(str(x) for x in pt) + ")" for pt in facet.incident_points)
         print(f"    B = ({cov})  incident: {pts}")
     print("  notes:")
@@ -179,10 +182,10 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_dims(args) -> int:
+    text = _read_text(args.table, "table")
     try:
-        with open(args.table, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
         raise ValidationError(f"cannot read table {args.table!r}: {exc}") from exc
     table = HodgeNumberTable.from_json_dict(data)
     value = graded_piece_dim(table, args.l, args.p)
@@ -210,6 +213,8 @@ def cmd_dims(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.n < 1:
+        raise ValidationError(f"need n >= 1, got {args.n}")
     r_values = [args.r] if args.r is not None else list(range(1, args.n + 1))
     results = []
     for r in r_values:

@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .groebner import DEFAULT_TERM_LIMIT, DEFAULT_VAR_LIMIT, ideal_membership
-from .newton import NewtonPolyhedron, checked_support, compute_polyhedron, facets_json, is_convenient
-from .poly import Exponent, Polynomial, jacobian_ideal
+from .newton import NewtonPolyhedron, _affine_rank, checked_support, compute_polyhedron, facets_json, is_convenient
+from .poly import Exponent, Polynomial, fraction_text, jacobian_ideal
 
 ASSUMPTION_BANNER = (
     "assumed: isolated singularity at the origin and nondegenerate Newton "
@@ -126,11 +126,10 @@ class SingularityReport:
     polyhedron: NewtonPolyhedron = field(repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
-        me = self.minimal_exponent
         return {
             "schema": "whideal-report/1",
             "variables": list(self.variables),
-            "minimal_exponent": f"{me.numerator}/{me.denominator}",
+            "minimal_exponent": fraction_text(self.minimal_exponent),
             "p_level": self.p_level,
             "r": self.r,
             "s": self.s,
@@ -150,14 +149,6 @@ class SingularityReport:
         return replace(self, notes=self.notes + tuple(extra))
 
 
-def _is_weighted_homogeneous(polyhedron: NewtonPolyhedron) -> bool:
-    # One compact facet whose hyperplane carries the whole support.
-    return (
-        len(polyhedron.facets) == 1
-        and set(polyhedron.facets[0].incident_points) == set(polyhedron.support)
-    )
-
-
 def classify(f: Polynomial, *, allow_nonconvenient: bool = False) -> SingularityReport:
     """Full singularity report for f at the origin.
 
@@ -172,7 +163,8 @@ def classify(f: Polynomial, *, allow_nonconvenient: bool = False) -> Singularity
         notes.append(NONCONVENIENT_BANNER)
     n = f.n
     alpha = polyhedron.shifted_weight_one()
-    r = polyhedron.minimizing_facet_count()
+    active = [facet for facet in polyhedron.facets if sum(facet.covector) == alpha]
+    r = len(active)
     table_max = max(3, int(alpha) + 1)
     hodge = {p: alpha >= p + 1 for p in range(table_max + 1)}
     w1 = {p: alpha > p + 1 for p in range(table_max + 1)}
@@ -189,13 +181,16 @@ def classify(f: Polynomial, *, allow_nonconvenient: bool = False) -> Singularity
             f"I_{p}^(W_1) equals the maximal ideal of the singular point "
             f"(minimal exponent {p + 1})"
         )
-        _, s = polyhedron.diagonal_face(p)
+        # the smallest compact face through the diagonal point (1,..,1)/(p+1)
+        face = set.intersection(*(set(facet.incident_points) for facet in active))
+        s = _affine_rank(face)
         candidates = list(range(p, n - 2 - p + 1))
         if simplicial and s > 0:
             # weight degree l <= n-s+1, i.e. s' = n-l-p >= s-p-1
             candidates = [sp for sp in candidates if sp >= s - p - 1]
         type_range = tuple((p, sp) for sp in candidates)
-        if _is_weighted_homogeneous(polyhedron):
+        if len(polyhedron.facets) == 1 and face == set(polyhedron.support):
+            # one compact facet whose hyperplane carries the whole support
             exact_type = (p, n - 2 - p)
             notes.append(
                 "weighted homogeneous: the weight filtration on the graded "

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import ValidationError
-from .poly import Exponent, Polynomial
+from .poly import Exponent, Polynomial, fraction_text
 
 
 def _dot(a, b) -> Fraction:
@@ -154,40 +154,12 @@ class NewtonPolyhedron:
         """Shifted weight of the constant monomial; the minimal-exponent value."""
         return self.shifted_weight_monomial((0,) * self.n)
 
-    def minimizing_facet_count(self) -> int:
-        """How many facets attain the shifted weight of 1."""
-        best = self.shifted_weight_one()
-        zero = (0,) * self.n
-        return sum(1 for f in self.facets if f.shifted_weight(zero) == best)
-
     def is_simplicial(self) -> bool:
         """True iff every compact facet carries exactly n polyhedron vertices."""
         return all(
             sum(1 for p in f.incident_points if p in self.vertices) == self.n
             for f in self.facets
         )
-
-    def diagonal_face(self, p: int) -> tuple[tuple[Exponent, ...], int]:
-        """Smallest compact face through the diagonal point (1,..,1)/(p+1).
-
-        Requires the shifted weight of 1 to equal p+1 exactly, so the point
-        sits on the compact boundary.  Returns the support points lying on
-        every facet through the point, and the affine dimension of that set.
-        """
-        if p < 0:
-            raise ValidationError(f"need p >= 0, got {p}")
-        target = Fraction(p + 1)
-        if self.shifted_weight_one() != target:
-            raise ValidationError(
-                f"shifted weight of 1 is {self.shifted_weight_one()}, not {target}"
-            )
-        zero = (0,) * self.n
-        active = [f for f in self.facets if f.shifted_weight(zero) == target]
-        pts = set(active[0].incident_points)
-        for f in active[1:]:
-            pts &= set(f.incident_points)
-        face = tuple(sorted(pts))
-        return face, _affine_rank(face)
 
 
 def is_convenient(f: Polynomial) -> bool:
@@ -241,7 +213,7 @@ def compute_polyhedron(f: Polynomial) -> NewtonPolyhedron:
 def facets_json(polyhedron: NewtonPolyhedron) -> list[dict]:
     return [
         {
-            "covector": [f"{b.numerator}/{b.denominator}" for b in facet.covector],
+            "covector": [fraction_text(b) for b in facet.covector],
             "incident_points": [list(p) for p in facet.incident_points],
         }
         for facet in polyhedron.facets

@@ -35,6 +35,11 @@ def grevlex_key(exponent: Exponent):
     return (sum(exponent), tuple(-e for e in reversed(exponent)))
 
 
+def fraction_text(x: Fraction) -> str:
+    """x as "numerator/denominator", integers included ("2/1")."""
+    return f"{x.numerator}/{x.denominator}"
+
+
 def divides(a: Exponent, b: Exponent) -> bool:
     """x^a divides x^b; both exponents have the same length."""
     return all(x <= y for x, y in zip(a, b))

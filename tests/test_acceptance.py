@@ -6,6 +6,7 @@ exact; the only tolerances are the stated wall-clock budgets.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -13,10 +14,12 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 from oracle_membership import truncated_membership
 from oracle_newton import facet_oracle, rho_one_oracle
 
+import whideal
 from whideal import (
     HodgeNumberTable,
     MonomialIdeal,
@@ -67,6 +70,7 @@ def test_criterion_1_worked_example():
             [sys.executable, "-m", "whideal", "analyze", WORKED, "--witness", "w^5", "--json"],
             capture_output=True,
             timeout=10,
+            env=dict(os.environ, PYTHONPATH=str(Path(whideal.__file__).resolve().parent.parent)),
         )
         elapsed = time.perf_counter() - start
         assert proc.returncode == 0

@@ -105,6 +105,16 @@ def test_analyze_vars_and_file(capsys, tmp_path):
     assert "  minimal exponent: 5/6" in out.splitlines()
 
 
+def test_analyze_unreadable_file(capsys, tmp_path):
+    not_utf8 = tmp_path / "latin1.txt"
+    not_utf8.write_bytes(b"x^2 + y^3 \xff\n")
+    for path in (tmp_path / "absent.txt", tmp_path, not_utf8):
+        code, out, err = run_main(capsys, ["analyze", "--file", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read polynomial file {str(path)!r}: ")
+        assert err.count("\n") == 1
+
+
 def test_analyze_missing_input(capsys):
     code, _, err = run_main(capsys, ["analyze"])
     assert code == 2
@@ -275,6 +285,12 @@ def test_dims_unreadable_table(capsys, tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     code, _, _ = run_main(capsys, ["dims", "--table", str(bad), "--l", "3", "--p", "1"])
     assert code == 2
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"n": 2, "name": "\xff"}')
+    code, out, err = run_main(capsys, ["dims", "--table", str(not_utf8), "--l", "3", "--p", "1"])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read table {str(not_utf8)!r}: ")
+    assert err.count("\n") == 1
 
 
 # -- verify ------------------------------------------------------------------------
@@ -287,6 +303,13 @@ def test_verify_sweep(capsys):
     assert lines[-1] == "all checks passed"
     assert any("n=3 r=1" in line for line in lines)
     assert any("n=3 r=3" in line for line in lines)
+
+
+def test_verify_needs_a_model(capsys):
+    for argv in (["--n", "0"], ["--n", "-2", "--json"], ["--n", "0", "--p-max", "-1"]):
+        code, out, err = run_main(capsys, ["verify", *argv])
+        assert code == 2 and out == ""
+        assert err == f"error: need n >= 1, got {argv[1]}\n"
 
 
 def test_verify_json_single_r(capsys):
@@ -322,11 +345,17 @@ def test_piped_output_is_plain(capsys):
 # -- process-level checks -------------------------------------------------------------
 
 
+def child_env():
+    """The environment with PYTHONPATH at the whideal these tests imported."""
+    return dict(os.environ, PYTHONPATH=str(Path(whideal.__file__).resolve().parent.parent))
+
+
 def run_process(argv):
     return subprocess.run(
         [sys.executable, "-m", "whideal", *argv],
         capture_output=True,
         timeout=60,
+        env=child_env(),
     )
 
 
@@ -362,11 +391,10 @@ def test_console_script_installed(tmp_path):
     with PYPROJECT.open("rb") as fh:
         spec = tomllib.load(fh)["project"]["scripts"]["whideal"]
     script = write_console_script(tmp_path, spec)
-    env = dict(os.environ, PYTHONPATH=str(Path(whideal.__file__).resolve().parent.parent))
 
     def run_script(argv):
         return subprocess.run(
-            [str(script), *argv], capture_output=True, timeout=60, cwd=tmp_path, env=env
+            [str(script), *argv], capture_output=True, timeout=60, cwd=tmp_path, env=child_env()
         )
 
     proc = run_script(["bounds", "--n", "2", "--d", "3", "--p", "0"])

@@ -4,12 +4,14 @@ Expected values were derived by hand from the Newton polyhedra (facet
 covectors solved directly) before being frozen here.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_newton import facet_oracle
 from whideal import (
     ASSUMPTION_BANNER,
     NONCONVENIENT_BANNER,
@@ -298,6 +300,45 @@ def test_classify_permutation_invariant():
         "w1_triviality",
     ):
         assert getattr(rep_f, name) == getattr(rep_g, name), name
+
+
+def _convenient_support(rng, n):
+    """Pure powers 2..7 of every variable plus up to 9 - n points with entries 0..5."""
+    support = set()
+    for i in range(n):
+        e = [0] * n
+        e[i] = rng.randint(2, 7)
+        support.add(tuple(e))
+    for _ in range(rng.randint(0, 9 - n)):
+        e = tuple(rng.randint(0, 5) for _ in range(n))
+        if sum(e) > 1:  # a constant or linear term makes f smooth
+            support.add(e)
+    return support
+
+
+def test_classify_r_and_s_match_oracle():
+    # r counts the oracle facets of least covector sum; at an integer level,
+    # s is the affine rank of the support points lying on all of them.
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(5205)
+    integer_levels = several_minimizing = 0
+    for _ in range(200):
+        n = rng.randint(2, 5)
+        support = _convenient_support(rng, n)
+        rep = classify(Polynomial([f"x{i}" for i in range(n)], {e: 1 for e in support}))
+        facets = facet_oracle(support)
+        least = min(sum(cov) for cov, _ in facets)
+        active = [set(points) for cov, points in facets if sum(cov) == least]
+        assert rep.r == len(active)
+        if least.denominator != 1:
+            assert rep.s is None
+            continue
+        integer_levels += 1
+        several_minimizing += len(active) > 1
+        face = sorted(set.intersection(*active))
+        diffs = [[x - y for x, y in zip(p, face[0])] for p in face[1:]]
+        assert rep.s == (sympy.Matrix(diffs).rank() if diffs else 0)
+    assert integer_levels >= 10 and several_minimizing >= 3
 
 
 def test_report_json_shape():

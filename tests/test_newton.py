@@ -39,7 +39,6 @@ def test_fermat_cubic():
     assert len(np_.facets) == 1
     assert np_.facets[0].covector == (Fraction(1, 3),) * 3
     assert np_.shifted_weight_one() == 1
-    assert np_.minimizing_facet_count() == 1
 
 
 def test_worked_example_two_facets():
@@ -52,7 +51,6 @@ def test_worked_example_two_facets():
         (half, half, half, Fraction(3, 10), Fraction(1, 5)),
     ]
     assert np_.shifted_weight_one() == 2
-    assert np_.minimizing_facet_count() == 2
     assert np_.vertices == frozenset(f.support())
     assert np_.is_simplicial()
 
@@ -128,26 +126,6 @@ def test_is_convenient():
     assert is_convenient(parse_polynomial("x^2 + y^3"))
     assert not is_convenient(parse_polynomial("x*y"))
     assert not is_convenient(parse_polynomial("x^2 + x*y"))
-
-
-def test_diagonal_face_node_and_fermat():
-    node = compute_polyhedron(parse_polynomial("x^2 + y^2"))
-    face, s = node.diagonal_face(0)
-    assert face == ((0, 2), (2, 0))
-    assert s == 1
-    fermat = compute_polyhedron(parse_polynomial("x^3 + y^3 + z^3"))
-    face, s = fermat.diagonal_face(0)
-    assert s == 2
-    assert face == ((0, 0, 3), (0, 3, 0), (3, 0, 0))
-
-
-def test_diagonal_face_worked_example():
-    np_ = compute_polyhedron(parse_polynomial("x^2+y^2+z^2+u^2w^2+u^4+w^5"))
-    face, s = np_.diagonal_face(1)
-    assert s == 3
-    assert face == ((0, 0, 0, 2, 2), (0, 0, 2, 0, 0), (0, 2, 0, 0, 0), (2, 0, 0, 0, 0))
-    with pytest.raises(ValidationError):
-        np_.diagonal_face(0)
 
 
 def test_facets_json_shape():
