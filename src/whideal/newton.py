@@ -4,14 +4,16 @@ The Newton polyhedron of f is the convex hull of supp(f) + the nonnegative
 orthant.  Only its compact facets matter here; each one is the solution set
 of <A, B> = 1 for a unique covector B with all entries strictly positive.
 Everything below is exact: facets come from solving n-point linear systems
-over Q, and vertexhood is decided by an exact simplex feasibility test, so
-no floating-point hull code is involved anywhere.
+over Q, and vertices are derived from the facets on first read, by the rank
+of the facet normals through each support point, so no floating-point hull
+code is involved anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .errors import ValidationError
@@ -19,13 +21,13 @@ from .poly import Exponent, Polynomial, fraction_text
 
 
 def _dot(a, b) -> Fraction:
-    return sum((Fraction(x) * y for x, y in zip(a, b)), Fraction(0))
+    return sum(x * y for x, y in zip(a, b))
 
 
 def _pivot(rows, r, c) -> None:
     """Scale row r to a 1 in column c, then clear column c from the other rows.
 
-    The one row operation of this module: both eliminations and the simplex.
+    The one row operation of this module, shared by both eliminations.
     """
     pivot_row = rows[r] = [v / rows[r][c] for v in rows[r]]
     for i, row in enumerate(rows):
@@ -46,56 +48,6 @@ def _covector_for(points) -> tuple[Fraction, ...] | None:
         _pivot(rows, r, col)
         pivots.append(r)
     return tuple(rows[r][n] for r in pivots)
-
-
-def _lp_feasible(points, target) -> bool:
-    """Exact test for: exists lam >= 0 with sum lam = 1 and T lam <= target.
-
-    Phase-1 simplex over Q with Bland's rule.  Row 0 is the convex-combination
-    equality (one artificial variable); the n coordinate rows get slacks and
-    start basic since target >= 0 componentwise.  The last column of the
-    tableau is the right-hand side.
-    """
-    m = len(points)
-    if m == 0:
-        return False
-    n = len(target)
-    art = m + n
-    rows = [[Fraction(1)] * m + [Fraction(0)] * n + [Fraction(1), Fraction(1)]]
-    for i in range(n):
-        row = [Fraction(points[j][i]) for j in range(m)] + [Fraction(0)] * (n + 1)
-        row[m + i] = Fraction(1)
-        rows.append(row + [Fraction(target[i])])
-    basis = [art] + [m + i for i in range(n)]
-    while True:
-        in_basis = set(basis)
-        entering = -1
-        for j in range(art):  # the artificial never re-enters
-            if j in in_basis:
-                continue
-            # reduced cost of j for objective "minimize artificial"
-            rc = -sum(rows[i][j] for i in range(len(rows)) if basis[i] == art)
-            if rc < 0:
-                entering = j
-                break
-        if entering < 0:
-            value = sum(rows[i][-1] for i in range(len(rows)) if basis[i] == art)
-            return value == 0
-        leave = -1
-        best = None
-        for i in range(len(rows)):
-            a = rows[i][entering]
-            if a > 0:
-                ratio = rows[i][-1] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
-                    leave = i
-        if leave < 0:
-            raise AssertionError("phase-1 objective cannot be unbounded")
-        _pivot(rows, leave, entering)
-        basis[leave] = entering
 
 
 def _affine_rank(points) -> int:
@@ -120,9 +72,6 @@ class CompactFacet:
     covector: tuple[Fraction, ...]
     incident_points: tuple[Exponent, ...]
 
-    def weight(self, point) -> Fraction:
-        return _dot(point, self.covector)
-
     def shifted_weight(self, exponent) -> Fraction:
         """<exponent + (1,...,1), B>: the pole-order weight of a monomial."""
         return _dot(tuple(e + 1 for e in exponent), self.covector)
@@ -133,7 +82,39 @@ class NewtonPolyhedron:
     n: int
     support: tuple[Exponent, ...]
     facets: tuple[CompactFacet, ...]
-    vertices: frozenset[Exponent]
+
+    @cached_property
+    def vertices(self) -> frozenset[Exponent]:
+        """The support points that are vertices, computed on first read.
+
+        A point of a polyhedron is a vertex iff the normals of the facets
+        through it have rank n (Ziegler, Lectures on Polytopes, ch. 2).  Each
+        facet of the Newton polyhedron is compact, a coordinate hyperplane,
+        or a compact facet of the projection of the support onto a proper
+        set of coordinates that misses the origin, lifted with zeros.  Other
+        hyperplanes supporting the polyhedron at a point leave the rank
+        unchanged, so the normal e_i is taken for every zero entry a_i.  A
+        pure power of a dropped variable projects onto the origin, so
+        convenient supports lift no facets.
+        """
+        n = self.n
+        normals = [facet.covector for facet in self.facets]
+        for k in range(1, n):
+            for kept in combinations(range(n), k):
+                projected = {tuple(a[i] for i in kept) for a in self.support}
+                if (0,) * k not in projected:
+                    for cov in _compact_facets(sorted(projected), k):
+                        lifted = dict(zip(kept, cov))
+                        normals.append(tuple(lifted.get(i, 0) for i in range(n)))
+
+        def is_vertex(a) -> bool:
+            # The e_i with a_i = 0 span those coordinates; the other normals
+            # through a must span the rest.
+            free = [i for i, x in enumerate(a) if x]
+            through = [tuple(b[i] for i in free) for b in normals if _dot(a, b) == 1]
+            return _affine_rank([(0,) * len(free), *through]) == len(free)
+
+        return frozenset(filter(is_vertex, self.support))
 
     def shifted_weight_monomial(self, exponent) -> Fraction:
         if len(exponent) != self.n:
@@ -141,14 +122,6 @@ class NewtonPolyhedron:
         if not self.facets:
             raise ValidationError("the polyhedron has no compact facets")
         return min(f.shifted_weight(exponent) for f in self.facets)
-
-    def shifted_weight(self, g: Polynomial) -> Fraction:
-        """Minimum shifted weight over the support of g."""
-        if g.is_zero:
-            raise ValidationError("the zero polynomial has no weight")
-        if g.n != self.n:
-            raise ValidationError(f"polynomial in {g.n} variables, expected {self.n}")
-        return min(self.shifted_weight_monomial(e) for e in g.support())
 
     def shifted_weight_one(self) -> Fraction:
         """Shifted weight of the constant monomial; the minimal-exponent value."""
@@ -186,28 +159,41 @@ def checked_support(f: Polynomial) -> tuple[Exponent, ...]:
     return support
 
 
-def compute_polyhedron(f: Polynomial) -> NewtonPolyhedron:
-    """Compact facets and vertices of the Newton polyhedron of f.
+def _compact_facets(support, n) -> dict[tuple[Fraction, ...], tuple[Exponent, ...]]:
+    """Covector -> incident points of each compact facet of support + orthant.
 
-    Facets: every compact facet is spanned by n affinely independent support
-    points, and affinely independent points on a hyperplane missing the
-    origin are linearly independent, so solving <A, B> = 1 on each n-subset
-    and keeping the strictly positive covectors that support the whole
-    support set finds them all.  Coplanar subsets collapse by covector.
+    Every compact facet is spanned by n affinely independent support points,
+    and affinely independent points on a hyperplane missing the origin are
+    linearly independent, so solving <A, B> = 1 on each n-subset and keeping
+    the strictly positive covectors that support the whole support set finds
+    them all.  Coplanar subsets collapse by covector.
     """
-    support = checked_support(f)
-    n = f.n
     found: dict[tuple[Fraction, ...], tuple[Exponent, ...]] = {}
     for subset in combinations(support, n):
         cov = _covector_for(subset)
         if cov is None or any(b <= 0 for b in cov) or cov in found:
             continue
-        if all(_dot(a, cov) >= 1 for a in support):
-            found[cov] = tuple(a for a in support if _dot(a, cov) == 1)
+        incident = []
+        for a in support:
+            level = _dot(a, cov)
+            if level < 1:
+                break
+            if level == 1:
+                incident.append(a)
+        else:
+            found[cov] = tuple(incident)
+    return found
+
+
+def compute_polyhedron(f: Polynomial) -> NewtonPolyhedron:
+    """The Newton polyhedron of f with its compact facets sorted by covector.
+
+    Vertices are derived from the facets when first read.
+    """
+    support = checked_support(f)
+    found = _compact_facets(support, f.n)
     facets = tuple(CompactFacet(cov, found[cov]) for cov in sorted(found))
-    others = {a: [b for b in support if b != a] for a in support}
-    vertices = frozenset(a for a in support if not _lp_feasible(others[a], a))
-    return NewtonPolyhedron(n, support, facets, vertices)
+    return NewtonPolyhedron(f.n, support, facets)
 
 
 def facets_json(polyhedron: NewtonPolyhedron) -> list[dict]:

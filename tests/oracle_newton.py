@@ -1,8 +1,12 @@
-"""Brute-force compact-facet oracle, independent of the production path.
+"""Brute-force compact-facet and vertex oracles, independent of the production path.
 
 Every n-subset of support points is solved by Cramer's rule (recursive
 Laplace determinants over Fraction), strictly positive covectors that
 support the whole set are kept, and duplicates collapse by covector.
+
+A support point a is a vertex unless some convex combination of the other
+support points lies below it coordinatewise; an exact phase-1 simplex over
+Fraction with Bland's rule decides that for each point.
 """
 
 from fractions import Fraction
@@ -68,3 +72,78 @@ def rho_one_oracle(support):
         return None
     ones = (1,) * len(facets[0][0])
     return min(_dot(ones, cov) for cov, _ in facets)
+
+
+def _pivot(rows, r, c):
+    pivot_row = rows[r] = [v / rows[r][c] for v in rows[r]]
+    for i, row in enumerate(rows):
+        factor = row[c]
+        if i != r and factor:
+            rows[i] = [x - factor * y for x, y in zip(row, pivot_row)]
+
+
+def _dominated(points, target):
+    """Exact test for: exists lam >= 0 with sum lam = 1 and T lam <= target.
+
+    Row 0 is the convex-combination equality (one artificial variable); the
+    n coordinate rows get slacks and start basic since target >= 0
+    componentwise.  The last column of the tableau is the right-hand side.
+    """
+    m = len(points)
+    if m == 0:
+        return False
+    n = len(target)
+    art = m + n
+    rows = [[Fraction(1)] * m + [Fraction(0)] * n + [Fraction(1), Fraction(1)]]
+    for i in range(n):
+        row = [Fraction(points[j][i]) for j in range(m)] + [Fraction(0)] * (n + 1)
+        row[m + i] = Fraction(1)
+        rows.append(row + [Fraction(target[i])])
+    basis = [art] + [m + i for i in range(n)]
+    while True:
+        in_basis = set(basis)
+        entering = -1
+        for j in range(art):  # the artificial never re-enters
+            if j in in_basis:
+                continue
+            # reduced cost of j for objective "minimize artificial"
+            rc = -sum(rows[i][j] for i in range(len(rows)) if basis[i] == art)
+            if rc < 0:
+                entering = j
+                break
+        if entering < 0:
+            value = sum(rows[i][-1] for i in range(len(rows)) if basis[i] == art)
+            return value == 0
+        leave = -1
+        best = None
+        for i in range(len(rows)):
+            a = rows[i][entering]
+            if a > 0:
+                ratio = rows[i][-1] / a
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leave]
+                ):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            raise AssertionError("phase-1 objective cannot be unbounded")
+        _pivot(rows, leave, entering)
+        basis[leave] = entering
+
+
+def vertex_oracle(support):
+    """The support points that are vertices of the Newton polyhedron."""
+    support = sorted(set(tuple(p) for p in support))
+    return frozenset(
+        a for a in support if not _dominated([b for b in support if b != a], a)
+    )
+
+
+def simplicial_oracle(support):
+    """True iff every compact facet carries exactly n vertices."""
+    support = sorted(set(tuple(p) for p in support))
+    vertices = vertex_oracle(support)
+    return all(
+        sum(1 for p in incident if p in vertices) == len(support[0])
+        for _, incident in facet_oracle(support)
+    )

@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_newton import _cramer_unit, facet_oracle, rho_one_oracle
+from oracle_newton import _cramer_unit, facet_oracle, rho_one_oracle, simplicial_oracle, vertex_oracle
 from whideal import (
     Polynomial,
     ValidationError,
     compute_polyhedron,
     facets_json,
     is_convenient,
+    minimal_exponent,
     parse_polynomial,
 )
-from whideal.newton import _affine_rank, _covector_for
+from whideal.newton import NewtonPolyhedron, _affine_rank, _covector_for
 
 
 def test_cusp_single_facet():
@@ -29,8 +30,7 @@ def test_cusp_single_facet():
 def test_cusp_weight_of_other_monomials():
     f = parse_polynomial("x^2 + y^3")
     np_ = compute_polyhedron(f)
-    g = parse_polynomial("x", f.variables)
-    assert np_.shifted_weight(g) == Fraction(4, 3)
+    assert np_.shifted_weight_monomial((1, 0)) == Fraction(4, 3)
     assert np_.shifted_weight_monomial((0, 1)) == Fraction(7, 6)
 
 
@@ -85,7 +85,7 @@ def test_supporting_property():
     assert np_.facets
     for facet in np_.facets:
         for a in np_.support:
-            w = facet.weight(a)
+            w = sum(x * b for x, b in zip(a, facet.covector))
             assert w >= 1
             assert (w == 1) == (a in facet.incident_points)
 
@@ -158,6 +158,68 @@ def test_matches_brute_force_oracle():
         got = [(facet.covector, facet.incident_points) for facet in np_.facets]
         assert got == facet_oracle(support)
         assert np_.shifted_weight_one() == rho_one_oracle(support)
+
+
+# -- vertices -----------------------------------------------------------------
+
+
+def test_vertex_on_a_lifted_projection_facet():
+    # Compact facets alone miss (2, 1): only the facet y = 1 of the projection
+    # onto y, lifted to (0, 1), pins it down.
+    np_ = compute_polyhedron(parse_polynomial("x^2*y + y^2"))
+    assert (2, 1) in np_.vertices
+    assert np_.vertices == {(0, 2), (2, 1)}
+    assert np_.is_simplicial()
+
+
+def test_vertices_of_a_non_simplicial_polyhedron():
+    f = parse_polynomial("x^6 + y^5 + z^6 + x*y^2*z^2 + x^3*y^2 + x^4*y^3*z + x^3*y^3*z^4")
+    np_ = compute_polyhedron(f)
+    assert np_.vertices == {(0, 0, 6), (0, 5, 0), (1, 2, 2), (3, 2, 0), (6, 0, 0)}
+    assert not np_.is_simplicial()
+
+
+def test_non_vertex_of_a_non_convenient_support():
+    np_ = compute_polyhedron(parse_polynomial("x^3*y + x*y^3 + x^2*y^2*z + z^5"))
+    assert (2, 2, 1) in np_.support
+    assert (2, 2, 1) not in np_.vertices
+
+
+def _random_non_convenient_support(rng, n):
+    while True:
+        support = {
+            tuple(0 if rng.random() < 0.5 else rng.randint(1, 5) for _ in range(n))
+            for _ in range(rng.randint(1, 8 - n))
+        }
+        support.discard((0,) * n)
+        if support and not is_convenient(Polynomial([f"x{i}" for i in range(n)], {e: 1 for e in support})):
+            return support
+
+
+def test_vertices_match_lp_oracle():
+    rng = random.Random(6006)
+    for k in range(1000):
+        n = rng.randint(2, 4)
+        make = _random_non_convenient_support if k % 2 else _random_convenient_support
+        support = make(rng, n)
+        np_ = compute_polyhedron(Polynomial([f"x{i}" for i in range(n)], {e: 1 for e in support}))
+        assert np_.vertices == vertex_oracle(support), sorted(support)
+        assert np_.is_simplicial() == simplicial_oracle(support), sorted(support)
+
+
+def test_minimal_exponent_never_reads_vertices(monkeypatch):
+    f = parse_polynomial("x^2+y^2+z^2+u^2w^2+u^4+w^5")
+    np_ = compute_polyhedron(f)
+    assert "vertices" not in np_.__dict__
+    assert len(np_.vertices) == 6
+    assert "vertices" in np_.__dict__
+
+    def refuse(self):
+        raise AssertionError("vertices read")
+
+    monkeypatch.setattr(NewtonPolyhedron, "vertices", property(refuse))
+    assert minimal_exponent(f) == 2
+    assert minimal_exponent(parse_polynomial("x^2 + y^3 + z^7")) == Fraction(41, 42)
 
 
 # -- the pivot kernel ---------------------------------------------------------
