@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from itertools import groupby
+
 from .errors import ValidationError
-from .poly import Exponent, divides, grevlex_key
+from .poly import Exponent, as_exponent, divides, grevlex_key
 
 
 class MonomialIdeal:
@@ -13,6 +15,14 @@ class MonomialIdeal:
     divisibility, sorted by decreasing graded-reverse-lex so rendering and
     JSON output are canonical.  The zero ideal has no generators; the unit
     ideal is generated by the constant monomial.
+
+    Minimalization walks the distinct exponents degree by degree, lowest
+    first, and keeps a monomial unless a kept one of lower degree divides
+    it.  Two distinct monomials of the same degree never divide each other,
+    and if any listed monomial properly divides a candidate, so does a
+    minimal generator of lower degree, kept by then; so the kept ones are
+    exactly the minimal generators.  Generators given in one degree, as the
+    closed forms of `snc` are, therefore need no divisibility test at all.
     """
 
     __slots__ = ("n", "generators")
@@ -22,18 +32,19 @@ class MonomialIdeal:
             raise ValidationError("need n >= 1 variables")
         clean = set()
         for g in generators:
-            e = tuple(int(x) for x in g)
+            e = as_exponent(g)
             if len(e) != n:
                 raise ValidationError(f"generator {e} has length {len(e)}, expected {n}")
             if any(x < 0 for x in e):
                 raise ValidationError(f"negative exponent in {e}")
             clean.add(e)
-        minimal = [
-            g for g in clean
-            if not any(other != g and divides(other, g) for other in clean)
-        ]
+        # Ascending grevlex orders by degree first: each degree is one run,
+        # and the kept list reversed is the canonical descending order.
+        minimal: list[Exponent] = []
+        for _, same_degree in groupby(sorted(clean, key=grevlex_key), key=sum):
+            minimal += [g for g in same_degree if not any(divides(h, g) for h in minimal)]
         self.n = n
-        self.generators = tuple(sorted(minimal, key=grevlex_key, reverse=True))
+        self.generators = tuple(reversed(minimal))
 
     @classmethod
     def zero(cls, n: int) -> "MonomialIdeal":
@@ -52,7 +63,7 @@ class MonomialIdeal:
         return self.generators == ((0,) * self.n,)
 
     def contains_monomial(self, m: Exponent) -> bool:
-        m = tuple(int(x) for x in m)
+        m = as_exponent(m)
         if len(m) != self.n:
             raise ValidationError(f"monomial {m} has length {len(m)}, expected {self.n}")
         return any(divides(g, m) for g in self.generators)
@@ -64,7 +75,7 @@ class MonomialIdeal:
 
     def multiply(self, m: Exponent) -> "MonomialIdeal":
         """The ideal x^m * self."""
-        m = tuple(int(x) for x in m)
+        m = as_exponent(m)
         if len(m) != self.n or any(x < 0 for x in m):
             raise ValidationError(f"shift {m} is not an exponent in {self.n} variables")
         return MonomialIdeal(

@@ -17,6 +17,7 @@ syntax error, not an inverse.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 
@@ -42,7 +43,21 @@ def fraction_text(x: Fraction) -> str:
 
 def divides(a: Exponent, b: Exponent) -> bool:
     """x^a divides x^b; both exponents have the same length."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
+
+
+def as_exponent(entries) -> Exponent:
+    """`entries` as a tuple of ints.
+
+    An entry that is not an integer (a float, a string, a Fraction) is a
+    ValidationError naming it, never truncated.
+    """
+    e = tuple(entries)
+    try:
+        return tuple(map(operator.index, e))
+    except TypeError:
+        bad = next(x for x in e if not hasattr(x, "__index__"))
+        raise ValidationError(f"exponent {e!r} has non-integer entry {bad!r}") from None
 
 
 class Polynomial:
@@ -62,7 +77,7 @@ class Polynomial:
         items = terms.items() if isinstance(terms, dict) else terms
         acc: dict[Exponent, Fraction] = {}
         for exponent, coeff in items:
-            e = tuple(int(x) for x in exponent)
+            e = as_exponent(exponent)
             if len(e) != len(vs):
                 raise ValidationError(
                     f"exponent {e} has length {len(e)}, expected {len(vs)}"

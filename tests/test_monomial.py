@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_monomial import pairwise_minimal
 from whideal import MonomialIdeal, ValidationError
+from whideal.poly import grevlex_key
 
 
 def test_minimalization():
@@ -68,6 +70,20 @@ def test_validation():
         a.is_subideal(MonomialIdeal(3, [(1, 0, 0)]))
 
 
+def test_non_integer_exponents_are_rejected_not_truncated():
+    with pytest.raises(ValidationError, match=r"exponent \(1\.5, 0\) has non-integer entry 1\.5"):
+        MonomialIdeal(2, [(1.5, 0), (0, 2)])
+    with pytest.raises(ValidationError, match=r"non-integer entry '2'"):
+        MonomialIdeal(2, [("2", 0)])
+    ideal = MonomialIdeal(2, [(1, 0), (0, 2)])
+    with pytest.raises(ValidationError, match=r"exponent \(0\.9, 3\) has non-integer entry 0\.9"):
+        ideal.contains_monomial((0.9, 3))
+    with pytest.raises(ValidationError, match=r"non-integer entry 0\.5"):
+        ideal.multiply((0.5, 1))
+    # Integers of any integral type are still exponents.
+    assert MonomialIdeal(2, [(True, 0)]) == MonomialIdeal(2, [(1, 0)])
+
+
 monomials = st.tuples(*[st.integers(0, 4)] * 3)
 gen_sets = st.lists(monomials, min_size=0, max_size=6)
 
@@ -112,3 +128,29 @@ def test_multiply_is_monotone(gens, m):
     assert shifted.is_subideal(a)
     for g in gens:
         assert shifted.contains_monomial(tuple(x + y for x, y in zip(g, m)))
+
+
+@st.composite
+def mixed_degree_lists(draw):
+    """(n, generators): n <= 6 and up to 40 entries of mixed degree, drawn
+    from a few monomials and their multiples, so that divisibility chains
+    span several degrees and entries repeat; sometimes with the unit."""
+    n = draw(st.integers(1, 6))
+    exponents = st.tuples(*[st.integers(0, 2)] * n)
+    pool = draw(st.lists(exponents, min_size=1, max_size=8))
+    for _ in range(draw(st.integers(0, 16))):
+        base, step = draw(st.sampled_from(pool)), draw(exponents)
+        pool.append(tuple(a + b for a, b in zip(base, step)))
+    repeats = draw(st.lists(st.sampled_from(pool), max_size=40 - len(pool)))
+    gens = draw(st.permutations(pool + repeats))
+    if draw(st.integers(0, 3)) == 0:
+        gens.insert(draw(st.integers(0, len(gens))), (0,) * n)
+    return n, gens
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mixed_degree_lists())
+def test_generators_match_pairwise_antichain(case):
+    n, gens = case
+    expected = sorted(pairwise_minimal(gens), key=grevlex_key, reverse=True)
+    assert MonomialIdeal(n, gens).generators == tuple(expected)

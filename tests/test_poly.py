@@ -111,6 +111,13 @@ def test_str_edge_cases():
     assert str(Polynomial.constant(("x",), Fraction(-3, 7))) == "-3/7"
 
 
+def test_non_integer_exponent_is_rejected_not_truncated():
+    with pytest.raises(ValidationError, match=r"exponent \(1\.7, 2\) has non-integer entry 1\.7"):
+        Polynomial(("x", "y"), {(1.7, 2): 1})
+    with pytest.raises(ValidationError, match=r"non-integer entry '2'"):
+        Polynomial(("x",), {("2",): 1})
+
+
 def test_arithmetic_requires_same_variables():
     with pytest.raises(ValidationError):
         parse_polynomial("x") + parse_polynomial("y")

@@ -1,9 +1,11 @@
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import whideal.monomial
+from oracle_monomial import pairwise_minimal
 from whideal import (
     MonomialIdeal,
     SncModel,
@@ -121,3 +123,57 @@ def test_chain_is_increasing_and_strict_where_expected():
         assert lo.is_subideal(hi)
     assert ladder[1] != ladder[2]  # strict step below stabilization
     assert ladder[3] == ladder[4] == hodge_ideal_snc(model, p)
+
+
+def _branch_ideal_from_definition(r, p, l):
+    """x^{(p+1)1_r} F_p W_l O_X(*D) on the r branch coordinates, l <= r,
+    minimalized by the pairwise rule.
+
+    F_p O_X(*D_J) is generated by the derivatives d^i(1/x_J), a constant
+    times x_J^{-1_J-i}, for i supported on J with |i| <= p (Mustata-Popa,
+    Hodge ideals, Mem. AMS 2019); F_p W_l is their sum over |J| = l.
+    """
+    gens = []
+    for J in combinations(range(r), l):
+        for i in product(range(p + 1), repeat=l):
+            if sum(i) <= p:
+                e = [p + 1] * r
+                for j, i_j in zip(J, i):
+                    e[j] -= 1 + i_j
+                gens.append(tuple(e))
+    return pairwise_minimal(gens)
+
+
+def test_closed_forms_match_the_definition():
+    cases = 0
+    for r in range(1, 7):
+        for p in range(4):
+            # W_l is all of O_X(*D) from l = r on.
+            branch = [_branch_ideal_from_definition(r, p, l) for l in range(r + 1)]
+            for n in range(r, 7):
+                model = SncModel(n, r)
+                pad = (0,) * (n - r)
+                expected = [{g + pad for g in ideal} for ideal in branch]
+                assert set(hodge_ideal_snc(model, p).generators) == expected[r], (n, r, p)
+                for l in range(n + 2):
+                    ideal = weighted_hodge_ideal_snc(model, p, l)
+                    assert set(ideal.generators) == expected[min(l, r)], (n, r, p, l)
+                cases += n + 3
+    assert cases == 616
+
+
+def test_closed_forms_need_no_divisibility_test(monkeypatch):
+    calls = 0
+    divides = whideal.monomial.divides
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return divides(a, b)
+
+    monkeypatch.setattr(whideal.monomial, "divides", counting)
+    model = SncModel(6, 6)
+    ladder = [weighted_hodge_ideal_snc(model, 3, l) for l in range(8)]
+    hodge_ideal_snc(model, 3)
+    assert calls == 0
+    assert [len(ideal.generators) for ideal in ladder] == [1, 6, 60, 200, 300, 210, 56, 56]
