@@ -22,11 +22,9 @@ from .invariants import (
     ASSUMPTION_BANNER,
     NONCONVENIENT_BANNER,
     SingularityReport,
-    VDegreeQuery,
     classify,
     jacobian_witness,
     minimal_exponent,
-    v_filtration_membership,
     witness_annotation,
 )
 from .monomial import MonomialIdeal
@@ -54,7 +52,6 @@ __all__ = [
     "SingularityReport",
     "SizeGuardError",
     "SncModel",
-    "VDegreeQuery",
     "ValidationError",
     "WhidealError",
     "binomial",
@@ -75,7 +72,6 @@ __all__ = [
     "projective_bounds",
     "pushforward_filtration_dim",
     "surjectivity_threshold",
-    "v_filtration_membership",
     "verify_snc_theorems",
     "weighted_hodge_ideal_snc",
     "witness_annotation",

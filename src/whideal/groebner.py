@@ -23,22 +23,19 @@ def _lcm(a: tuple, b: tuple) -> tuple:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def _monomial_times(terms: dict, shift: tuple, scale: Fraction) -> dict:
-    return {
-        tuple(e + s for e, s in zip(exp, shift)): c * scale
-        for exp, c in terms.items()
-    }
+def _subtract_multiple(work: dict, g: dict, shift: tuple, scale: Fraction) -> None:
+    """work -= scale * x^shift * g, in place; terms that cancel are dropped.
 
-
-def _sub(f: dict, g: dict) -> dict:
-    out = dict(f)
+    The one reduction step: it builds S-polynomials and divides in
+    `_normal_form`.
+    """
     for e, c in g.items():
-        v = out.get(e, Fraction(0)) - c
+        key = tuple(a + b for a, b in zip(e, shift))
+        v = work.get(key, 0) - scale * c
         if v:
-            out[e] = v
+            work[key] = v
         else:
-            out.pop(e, None)
-    return out
+            work.pop(key, None)
 
 
 def _normal_form(f: dict, basis: list[tuple]) -> dict:
@@ -47,23 +44,14 @@ def _normal_form(f: dict, basis: list[tuple]) -> dict:
     work = dict(f)
     while work:
         m = _lead(work)
-        c = work.pop(m)
         for lead, terms in basis:
             if divides(lead, m):
+                # the lead term m cancels exactly, so the step drops it
                 shift = tuple(a - b for a, b in zip(m, lead))
-                scale = c / terms[lead]
-                for e, ce in terms.items():
-                    if e == lead:
-                        continue
-                    key = tuple(a + b for a, b in zip(e, shift))
-                    v = work.get(key, Fraction(0)) - scale * ce
-                    if v:
-                        work[key] = v
-                    else:
-                        work.pop(key, None)
+                _subtract_multiple(work, terms, shift, work[m] / terms[lead])
                 break
         else:
-            remainder[m] = c
+            remainder[m] = work.pop(m)
     return remainder
 
 
@@ -95,10 +83,10 @@ def _buchberger(gens: list[dict]) -> list[dict]:
         if chain_criterion(i, j, lcm_ij):
             continue
         fi, fj = basis[i], basis[j]
-        s = _sub(
-            _monomial_times(fi, tuple(a - b for a, b in zip(lcm_ij, li)), 1 / fi[li]),
-            _monomial_times(fj, tuple(a - b for a, b in zip(lcm_ij, lj)), 1 / fj[lj]),
-        )
+        # S = x^(lcm - li) fi / lc(fi) - x^(lcm - lj) fj / lc(fj)
+        s: dict = {}
+        _subtract_multiple(s, fi, tuple(a - b for a, b in zip(lcm_ij, li)), -1 / fi[li])
+        _subtract_multiple(s, fj, tuple(a - b for a, b in zip(lcm_ij, lj)), 1 / fj[lj])
         s = _normal_form(s, list(zip(leads, basis)))
         if s:
             basis.append(s)

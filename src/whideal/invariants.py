@@ -7,7 +7,8 @@ every report carries an assumption banner.  Triviality of the Hodge ideal
 I_p and of its first weighted piece I_p^{W_1} are exact threshold
 comparisons against that value, and when it is an integer p+1 the facet
 count through the diagonal point bounds the weight degree where the graded
-pieces can live.
+pieces can live.  The minimal exponent also decides the V-filtration:
+dt^j delta lies in V^alpha exactly when it is at least j + alpha.
 """
 
 from __future__ import annotations
@@ -30,21 +31,6 @@ NONCONVENIENT_BANNER = (
 )
 
 
-@dataclass(frozen=True)
-class VDegreeQuery:
-    """Asks whether dt^j applied to the delta function lies in V^alpha."""
-
-    j: int
-    alpha: Fraction
-
-    def __post_init__(self):
-        if not isinstance(self.j, int) or self.j < 0:
-            raise ValidationError(f"need integer j >= 0, got {self.j!r}")
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        if not 0 < self.alpha <= 1:
-            raise ValidationError(f"need 0 < alpha <= 1, got {self.alpha}")
-
-
 def _polyhedron_for(f: Polynomial, allow_nonconvenient: bool) -> tuple[NewtonPolyhedron, bool]:
     # Reject before the C(m, n) facet enumeration, but after the input
     # errors that compute_polyhedron reports first.
@@ -64,11 +50,6 @@ def minimal_exponent(f: Polynomial, *, allow_nonconvenient: bool = False) -> Fra
     """Minimal exponent of f under the Newton-nondegeneracy assumptions."""
     polyhedron, _ = _polyhedron_for(f, allow_nonconvenient)
     return polyhedron.shifted_weight_one()
-
-
-def v_filtration_membership(f: Polynomial, query: VDegreeQuery, *, allow_nonconvenient: bool = False) -> bool:
-    """Decide dt^j delta in V^alpha: exactly when alpha~ >= j + alpha."""
-    return minimal_exponent(f, allow_nonconvenient=allow_nonconvenient) >= query.j + query.alpha
 
 
 def jacobian_witness(

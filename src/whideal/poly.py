@@ -20,6 +20,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
+from numbers import Rational
 
 from .errors import ParseError, ValidationError
 
@@ -64,7 +65,9 @@ class Polynomial:
     """Immutable-by-convention polynomial with a fixed variable order.
 
     `terms` maps exponent tuples to nonzero Fractions; zero coefficients are
-    dropped on construction.  All arithmetic requires both operands to share
+    dropped on construction.  Coefficients must be exact rationals (int,
+    bool or Fraction): a float, a string or a NaN is a ValidationError, never
+    rounded or parsed.  All arithmetic requires both operands to share
     the same variable tuple.
     """
 
@@ -84,6 +87,10 @@ class Polynomial:
                 )
             if any(x < 0 for x in e):
                 raise ValidationError(f"negative exponent in {e}")
+            if not isinstance(coeff, Rational):
+                raise ValidationError(
+                    f"coefficient {coeff!r} of {e} is not exact rational (int or Fraction)"
+                )
             acc[e] = acc.get(e, Fraction(0)) + Fraction(coeff)
         self.variables = vs
         self.terms = {e: c for e, c in acc.items() if c != 0}
@@ -91,7 +98,7 @@ class Polynomial:
     @classmethod
     def constant(cls, variables, value) -> "Polynomial":
         vs = tuple(variables)
-        return cls(vs, {(0,) * len(vs): Fraction(value)})
+        return cls(vs, {(0,) * len(vs): value})
 
     @property
     def n(self) -> int:

@@ -7,6 +7,7 @@ from oracle_membership import truncated_membership
 from whideal import (
     Polynomial,
     SizeGuardError,
+    grevlex_key,
     groebner_basis,
     ideal_membership,
     jacobian_ideal,
@@ -103,3 +104,58 @@ def test_agrees_with_truncated_linear_algebra_oracle():
         assert ideal_membership(g, gens) == truncated_membership(g, gens)
         checked += 1
     assert checked >= 25
+
+
+# -- reduced bases against sympy ----------------------------------------------
+
+# The Jacobian ideals of the benchmark's witness cases, largest last.
+JACOBIAN_CASES = (
+    "x^3 + y^4 + z^5 + x*y*z",
+    "x^2 + y^2 + z^2 + u^2*w^2 + u^4 + w^5",
+    "x^5 + y^5 + z^5 + x^2*y^2*z^2",
+    "x^4 + y^4 + z^4 + u^4 + x*y*z*u",
+)
+
+
+def _sympy_reduced_basis(gens):
+    """The monic reduced basis from sympy's own Buchberger (grevlex over QQ)."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.groebnertools import groebner
+    from sympy.polys.orderings import grevlex
+    from sympy.polys.rings import ring
+
+    r, *_ = ring(",".join(gens[0].variables), sympy.QQ, grevlex)
+    elements = [
+        r.from_dict({e: sympy.QQ(c.numerator, c.denominator) for e, c in g.terms.items()})
+        for g in gens
+    ]
+    return _canon(
+        {e: Fraction(int(c.numerator), int(c.denominator)) for e, c in g.monic().items()}
+        for g in groebner(elements, r)
+    )
+
+
+def _canon(bases):
+    return sorted(tuple(sorted(terms.items())) for terms in bases)
+
+
+def test_reduced_basis_matches_sympy():
+    # Reduced bases are unique, so the comparison is exact.
+    rng = random.Random(20221)
+    longest = 0
+    for _ in range(80):
+        vs = ("x", "y", "z")[: rng.randint(1, 3)]
+        gens = [_random_poly(rng, vs, 3, 3) for _ in range(rng.randint(1, 3))]
+        basis = groebner_basis(gens)
+        assert _canon(g.terms for g in basis) == _sympy_reduced_basis(gens), gens
+        leads = [max(g.terms, key=grevlex_key) for g in basis]
+        assert leads == sorted(leads, key=grevlex_key, reverse=True)
+        assert all(g.terms[lead] == 1 for g, lead in zip(basis, leads))
+        longest = max(longest, len(basis))
+    assert longest >= 4
+
+
+@pytest.mark.parametrize("text", JACOBIAN_CASES)
+def test_jacobian_basis_matches_sympy(text):
+    gens = jacobian_ideal(parse_polynomial(text))
+    assert _canon(g.terms for g in groebner_basis(gens)) == _sympy_reduced_basis(gens)

@@ -17,12 +17,10 @@ from whideal import (
     NONCONVENIENT_BANNER,
     Polynomial,
     ValidationError,
-    VDegreeQuery,
     classify,
     jacobian_witness,
     minimal_exponent,
     parse_polynomial,
-    v_filtration_membership,
     witness_annotation,
 )
 
@@ -76,33 +74,6 @@ def test_minimal_exponent_nonconvenient_gate():
     with pytest.raises(ValidationError):
         minimal_exponent(f)
     assert minimal_exponent(f, allow_nonconvenient=True) == Fraction(3, 4)
-
-
-# -- V-filtration queries -----------------------------------------------------
-
-
-def test_v_query_validation():
-    with pytest.raises(ValidationError):
-        VDegreeQuery(-1, Fraction(1, 2))
-    with pytest.raises(ValidationError):
-        VDegreeQuery(0, Fraction(0))
-    with pytest.raises(ValidationError):
-        VDegreeQuery(0, Fraction(3, 2))
-    q = VDegreeQuery(2, 1)
-    assert q.alpha == Fraction(1) and isinstance(q.alpha, Fraction)
-
-
-def test_v_filtration_worked_example():
-    f = parse_polynomial(WORKED)
-    assert v_filtration_membership(f, VDegreeQuery(1, Fraction(1)))
-    assert not v_filtration_membership(f, VDegreeQuery(2, Fraction(1)))
-    assert v_filtration_membership(f, VDegreeQuery(1, Fraction(1, 2)))
-
-
-def test_v_filtration_cusp():
-    f = parse_polynomial("x^2 + y^3")
-    assert v_filtration_membership(f, VDegreeQuery(0, Fraction(5, 6)))
-    assert not v_filtration_membership(f, VDegreeQuery(0, Fraction(1)))
 
 
 # -- triviality thresholds ----------------------------------------------------

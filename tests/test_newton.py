@@ -27,13 +27,6 @@ def test_cusp_single_facet():
     assert np_.shifted_weight_one() == Fraction(5, 6)
 
 
-def test_cusp_weight_of_other_monomials():
-    f = parse_polynomial("x^2 + y^3")
-    np_ = compute_polyhedron(f)
-    assert np_.shifted_weight_monomial((1, 0)) == Fraction(4, 3)
-    assert np_.shifted_weight_monomial((0, 1)) == Fraction(7, 6)
-
-
 def test_fermat_cubic():
     np_ = compute_polyhedron(parse_polynomial("x^3 + y^3 + z^3"))
     assert len(np_.facets) == 1

@@ -118,6 +118,20 @@ def test_non_integer_exponent_is_rejected_not_truncated():
         Polynomial(("x",), {("2",): 1})
 
 
+def test_inexact_coefficients_are_rejected_not_rounded():
+    with pytest.raises(ValidationError, match=r"coefficient 0\.1 of \(2, 0\)"):
+        Polynomial(("x", "y"), {(2, 0): 0.1, (0, 3): 1})
+    with pytest.raises(ValidationError, match=r"coefficient nan"):
+        Polynomial(("x",), {(2,): float("nan")})
+    with pytest.raises(ValidationError, match=r"coefficient '1/2'"):
+        Polynomial(("x",), {(2,): "1/2"})
+    with pytest.raises(ValidationError, match=r"coefficient 0\.5"):
+        Polynomial.constant(("x",), 0.5)
+    exact = Polynomial(("x", "y"), {(2, 0): Fraction(1, 10), (0, 3): 1, (1, 1): True})
+    assert exact.terms == {(2, 0): Fraction(1, 10), (0, 3): 1, (1, 1): 1}
+    assert all(type(c) is Fraction for c in exact.terms.values())
+
+
 def test_arithmetic_requires_same_variables():
     with pytest.raises(ValidationError):
         parse_polynomial("x") + parse_polynomial("y")

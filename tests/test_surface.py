@@ -1,0 +1,28 @@
+"""The public surface: every exported name resolves, once, under import *."""
+
+import whideal
+
+# Helpers that only recomputed what `classify` reports; they must stay gone.
+REMOVED = ("VDegreeQuery", "v_filtration_membership")
+
+
+def test_all_names_resolve_once():
+    assert len(set(whideal.__all__)) == len(whideal.__all__)
+    for name in whideal.__all__:
+        assert getattr(whideal, name) is not None, name
+
+
+def test_star_import_binds_all():
+    namespace: dict = {}
+    exec("from whideal import *", namespace)
+    assert set(whideal.__all__) <= namespace.keys()
+    for name in whideal.__all__:
+        assert namespace[name] is getattr(whideal, name)
+
+
+def test_removed_helpers_stay_gone():
+    for name in REMOVED:
+        assert name not in whideal.__all__
+        assert not hasattr(whideal, name)
+    assert not hasattr(whideal.NewtonPolyhedron, "shifted_weight_monomial")
+    assert not hasattr(whideal.CompactFacet, "shifted_weight")
