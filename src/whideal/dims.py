@@ -60,7 +60,8 @@ def _validate_entries(entries: dict, n: int, label: str) -> dict:
         if not (isinstance(key, tuple) and len(key) == 2):
             raise ValidationError(f"{label} entry key {key!r} must be a pair of ints")
         a, b = key
-        if not (isinstance(a, int) and isinstance(b, int)):
+        # bool is an int subclass, so True would silently index as 1
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in key):
             raise ValidationError(f"{label} entry key {key!r} must be a pair of ints")
         if not isinstance(h, int) or isinstance(h, bool) or h < 0:
             raise ValidationError(f"{label} entry ({a},{b}) has invalid value {h!r}")

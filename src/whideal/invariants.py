@@ -32,7 +32,7 @@ NONCONVENIENT_BANNER = (
 
 
 def _polyhedron_for(f: Polynomial, allow_nonconvenient: bool) -> tuple[NewtonPolyhedron, bool]:
-    # Reject before the C(m, n) facet enumeration, but after the input
+    # Reject before the facet enumeration, but after the input
     # errors that compute_polyhedron reports first.
     checked_support(f)
     if any(sum(e) <= 1 for e in f.support()):

@@ -8,6 +8,12 @@ over Q, and vertices are derived from the facets on first read, by the rank
 of the facet normals through each support point, so no floating-point hull
 code is involved anywhere.  One Gauss-Jordan routine, `_eliminate`, does both
 the solving and the rank counting.
+
+A support point a that another support point b divides (a >= b, a != b)
+lies strictly above every compact facet, since B > 0 gives
+<a, B> > <b, B> >= 1, and it is never a vertex.  So once the support has
+more than n points, facets are enumerated over the undominated points only:
+C(undominated, n) eliminations instead of C(m, n).
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .errors import ValidationError
+from .monomial import MonomialIdeal
 from .poly import Exponent, Polynomial, fraction_text
 
 
@@ -117,7 +124,9 @@ class NewtonPolyhedron:
             through = [tuple(b[i] for i in free) for b in normals if _dot(a, b) == 1]
             return _affine_rank([(0,) * len(free), *through]) == len(free)
 
-        return frozenset(filter(is_vertex, self.support))
+        # A dominated point b + d is the midpoint of b + d/2 and b + 3d/2,
+        # both in the polyhedron, so it is never a vertex.
+        return frozenset(filter(is_vertex, _undominated(self.support, n)))
 
     def shifted_weight_one(self) -> Fraction:
         """min over compact facets of <(1,...,1), B>: the minimal-exponent value."""
@@ -157,6 +166,14 @@ def checked_support(f: Polynomial) -> tuple[Exponent, ...]:
     return support
 
 
+def _undominated(support, n):
+    """The points of a sorted support that no other point divides, in order.
+
+    These are the minimal generators of the monomial ideal of the support.
+    """
+    return sorted(MonomialIdeal(n, support).generators)
+
+
 def _compact_facets(support, n) -> dict[tuple[Fraction, ...], tuple[Exponent, ...]]:
     """Covector -> incident points of each compact facet of support + orthant.
 
@@ -165,14 +182,22 @@ def _compact_facets(support, n) -> dict[tuple[Fraction, ...], tuple[Exponent, ..
     linearly independent, so solving <A, B> = 1 on each n-subset and keeping
     the strictly positive covectors that support the whole support set finds
     them all.  Coplanar subsets collapse by covector.
+
+    A dominated point a = b + d (d >= 0, d != 0) has <a, B> > <b, B> >= 1
+    for every B > 0: it spans no facet, is incident to none and never decides
+    whether B supports the set.  So when there are more than n points, the
+    subsets and the level test run over the undominated points only, kept in
+    ascending order so incident points come out as before.  With at most n
+    points there is at most one subset and nothing to gain from minimalizing.
     """
+    points = _undominated(support, n) if len(support) > n else support
     found: dict[tuple[Fraction, ...], tuple[Exponent, ...]] = {}
-    for subset in combinations(support, n):
+    for subset in combinations(points, n):
         cov = _covector_for(subset)
         if cov is None or any(b <= 0 for b in cov) or cov in found:
             continue
         incident = []
-        for a in support:
+        for a in points:
             level = _dot(a, cov)
             if level < 1:
                 break

@@ -1,8 +1,9 @@
 """Brute-force compact-facet and vertex oracles, independent of the production path.
 
 Every n-subset of support points is solved by Cramer's rule (recursive
-Laplace determinants over Fraction), strictly positive covectors that
-support the whole set are kept, and duplicates collapse by covector.
+Laplace determinants over the integers, one Fraction per entry), strictly
+positive covectors that support the whole set are kept, and duplicates
+collapse by covector.
 
 A support point a is a vertex unless some convex combination of the other
 support points lies below it coordinatewise; an exact phase-1 simplex over
@@ -19,7 +20,7 @@ def _det(m):
         return m[0][0]
     if size == 2:
         return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    total = Fraction(0)
+    total = 0
     for j in range(size):
         if m[0][j] == 0:
             continue
@@ -31,17 +32,17 @@ def _det(m):
 
 def _cramer_unit(points):
     n = len(points[0])
-    m = [[Fraction(p[j]) for j in range(n)] for p in points]
+    m = [[p[j] for j in range(n)] for p in points]
     d = _det(m)
     if d == 0:
         return None
     sol = []
     for col in range(n):
         replaced = [
-            [Fraction(1) if j == col else m[i][j] for j in range(n)]
+            [1 if j == col else m[i][j] for j in range(n)]
             for i in range(n)
         ]
-        sol.append(_det(replaced) / d)
+        sol.append(Fraction(_det(replaced), d))
     return tuple(sol)
 
 

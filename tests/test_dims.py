@@ -98,6 +98,13 @@ def test_table_rejects_bad_values():
         HodgeNumberTable(1)
 
 
+def test_table_rejects_boolean_indices():
+    with pytest.raises(ValidationError, match=r"middle entry key \(True, 0\)"):
+        HodgeNumberTable.from_json_dict({"n": 4, "middle": [[True, 0, 1]]})
+    with pytest.raises(ValidationError, match=r"top entry key \(0, False\)"):
+        HodgeNumberTable(4, top={(0, False): 2})
+
+
 def test_table_json_round_trip():
     t = HodgeNumberTable(5, middle={(1, 1): 1, (0, 3): 2}, top={(2, 2): 4})
     data = t.to_json_dict()

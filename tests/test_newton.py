@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import whideal.newton
 from oracle_newton import _cramer_unit, facet_oracle, rho_one_oracle, simplicial_oracle, vertex_oracle
 from whideal import (
     Polynomial,
@@ -88,6 +90,17 @@ def test_interior_monomial_does_not_change_facets():
     np_ = compute_polyhedron(f)
     bulky = parse_polynomial("x^2 + y^3 + x^3y^4", f.variables)
     assert compute_polyhedron(bulky).facets == np_.facets
+    # k * p lies above p: seeded multiples of support points change nothing.
+    rng = random.Random(5150)
+    for _ in range(30):
+        n = rng.randint(2, 4)
+        support = _random_convenient_support(rng, n)
+        np_ = compute_polyhedron(_polynomial(support))
+        points = sorted(support)
+        bulky = support | {tuple(rng.randint(2, 4) * x for x in rng.choice(points)) for _ in range(3)}
+        bulky_np = compute_polyhedron(_polynomial(bulky))
+        assert bulky_np.facets == np_.facets, sorted(bulky)
+        assert bulky_np.vertices == np_.vertices, sorted(bulky)
 
 
 def test_coefficient_independence():
@@ -141,16 +154,58 @@ def _random_convenient_support(rng, n):
     return support
 
 
+def _interior_support(rng, n):
+    """Pure powers plus up to 12 - n points of the box [0, 6]^n: mostly dominated."""
+    support = {tuple(rng.randint(2, 6) if j == i else 0 for j in range(n)) for i in range(n)}
+    for _ in range(rng.randint(1, 12 - n)):
+        e = tuple(rng.randint(0, 6) for _ in range(n))
+        if any(e):
+            support.add(e)
+    return support
+
+
+def _interior_supports(seed, count):
+    rng = random.Random(seed)
+    return [_interior_support(rng, 2 + k % 4) for k in range(count)]
+
+
+def _polynomial(support):
+    n = len(next(iter(support)))
+    return Polynomial([f"x{i}" for i in range(n)], {e: 1 for e in support})
+
+
 def test_matches_brute_force_oracle():
     rng = random.Random(4401)
-    for _ in range(40):
-        n = rng.randint(2, 4)
-        support = _random_convenient_support(rng, n)
-        f = Polynomial([f"x{i}" for i in range(n)], {e: 1 for e in support})
+    supports = [_random_convenient_support(rng, rng.randint(2, 4)) for _ in range(40)]
+    for support in supports + _interior_supports(4402, 24):
+        f = _polynomial(support)
         np_ = compute_polyhedron(f)
         got = [(facet.covector, facet.incident_points) for facet in np_.facets]
         assert got == facet_oracle(support)
         assert np_.shifted_weight_one() == rho_one_oracle(support)
+
+
+def test_facets_solve_only_undominated_subsets(monkeypatch):
+    calls = []
+
+    def counting(points):
+        calls.append(points)
+        return _covector_for(points)
+
+    monkeypatch.setattr(whideal.newton, "_covector_for", counting)
+    base = "x^6 + y^6 + z^6 + x*y*z"  # four undominated points
+    dominated = ["x^6*y", "x*y*z^2", "x^2*y^3*z", "y^7*z"]
+    facets = compute_polyhedron(parse_polynomial(base)).facets
+    for k in range(len(dominated) + 1):
+        calls.clear()
+        np_ = compute_polyhedron(parse_polynomial(" + ".join([base] + dominated[:k])))
+        assert len(np_.support) == 4 + k
+        assert len(calls) == comb(4, 3)
+        assert np_.facets == facets
+    # A diagonal has exactly n points: one subset.
+    calls.clear()
+    assert minimal_exponent(parse_polynomial("x^2 + y^3 + z^5 + u^7")) == Fraction(247, 210)
+    assert len(calls) == 1
 
 
 # -- vertices -----------------------------------------------------------------
@@ -191,11 +246,13 @@ def _random_non_convenient_support(rng, n):
 
 def test_vertices_match_lp_oracle():
     rng = random.Random(6006)
+    supports = []
     for k in range(1000):
         n = rng.randint(2, 4)
         make = _random_non_convenient_support if k % 2 else _random_convenient_support
-        support = make(rng, n)
-        np_ = compute_polyhedron(Polynomial([f"x{i}" for i in range(n)], {e: 1 for e in support}))
+        supports.append(make(rng, n))
+    for support in supports + _interior_supports(6007, 24):
+        np_ = compute_polyhedron(_polynomial(support))
         assert np_.vertices == vertex_oracle(support), sorted(support)
         assert np_.is_simplicial() == simplicial_oracle(support), sorted(support)
 
