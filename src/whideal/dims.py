@@ -11,7 +11,6 @@ arithmetic, kept exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import ValidationError
 
@@ -55,6 +54,8 @@ def pushforward_filtration_dim(d, p: int, n: int) -> int:
 
 
 def _validate_entries(entries: dict, n: int, label: str) -> dict:
+    if not isinstance(entries, dict):
+        raise ValidationError(f"{label} must be a dict of (a, b) -> h, got {entries!r}")
     out = {}
     for key, h in entries.items():
         if not (isinstance(key, tuple) and len(key) == 2):
@@ -74,19 +75,22 @@ def _validate_entries(entries: dict, n: int, label: str) -> dict:
     return out
 
 
-@dataclass(frozen=True)
 class HodgeNumberTable:
     """Hodge numbers of the middle and top cohomology of G (dim G = n-2)."""
 
-    n: int
-    middle: dict = field(default_factory=dict)
-    top: dict = field(default_factory=dict)
+    def __init__(self, n: int, middle: dict | None = None, top: dict | None = None):
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValidationError(f"n must be an int, got {n!r}")
+        if n < 2:
+            raise ValidationError(f"need n >= 2, got {n}")
+        self.n = n
+        self.middle = _validate_entries({} if middle is None else middle, n, "middle")
+        self.top = _validate_entries({} if top is None else top, n, "top")
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValidationError(f"need n >= 2, got {self.n}")
-        object.__setattr__(self, "middle", _validate_entries(self.middle, self.n, "middle"))
-        object.__setattr__(self, "top", _validate_entries(self.top, self.n, "top"))
+    def __eq__(self, other):
+        if not isinstance(other, HodgeNumberTable):
+            return NotImplemented
+        return (self.n, self.middle, self.top) == (other.n, other.middle, other.top)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "HodgeNumberTable":

@@ -13,7 +13,6 @@ dt^j delta lies in V^alpha exactly when it is at least j + alpha.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import ValidationError
@@ -90,21 +89,36 @@ def witness_annotation(
     return note
 
 
-@dataclass(frozen=True)
 class SingularityReport:
-    variables: tuple[str, ...]
-    minimal_exponent: Fraction
-    p_level: int | None
-    r: int
-    s: int | None
-    simplicial: bool
-    hodge_triviality: dict[int, bool]
-    w1_triviality: dict[int, bool]
-    nilpotency_upper: int | None
-    type_range: tuple[tuple[int, int], ...] | None
-    exact_type: tuple[int, int] | None
-    notes: tuple[str, ...]
-    polyhedron: NewtonPolyhedron = field(repr=False, compare=False)
+    def __init__(
+        self,
+        variables: tuple[str, ...],
+        minimal_exponent: Fraction,
+        p_level: int | None,
+        r: int,
+        s: int | None,
+        simplicial: bool,
+        hodge_triviality: dict[int, bool],
+        w1_triviality: dict[int, bool],
+        nilpotency_upper: int | None,
+        type_range: tuple[tuple[int, int], ...] | None,
+        exact_type: tuple[int, int] | None,
+        notes: tuple[str, ...],
+        polyhedron: NewtonPolyhedron,
+    ):
+        self.variables = variables
+        self.minimal_exponent = minimal_exponent
+        self.p_level = p_level
+        self.r = r
+        self.s = s
+        self.simplicial = simplicial
+        self.hodge_triviality = hodge_triviality
+        self.w1_triviality = w1_triviality
+        self.nilpotency_upper = nilpotency_upper
+        self.type_range = type_range
+        self.exact_type = exact_type
+        self.notes = notes
+        self.polyhedron = polyhedron
 
     def to_json_dict(self) -> dict:
         return {
@@ -127,7 +141,7 @@ class SingularityReport:
         }
 
     def with_notes(self, extra) -> "SingularityReport":
-        return replace(self, notes=self.notes + tuple(extra))
+        return SingularityReport(**dict(vars(self), notes=self.notes + tuple(extra)))
 
 
 def classify(f: Polynomial, *, allow_nonconvenient: bool = False) -> SingularityReport:

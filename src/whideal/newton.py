@@ -18,7 +18,6 @@ C(undominated, n) eliminations instead of C(m, n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -79,19 +78,35 @@ def _affine_rank(points) -> int:
     return sum(_eliminate(rows, len(base)))
 
 
-@dataclass(frozen=True)
 class CompactFacet:
     """A compact facet: covector B > 0 with <A, B> = 1 on incident points."""
 
-    covector: tuple[Fraction, ...]
-    incident_points: tuple[Exponent, ...]
+    def __init__(self, covector: tuple[Fraction, ...], incident_points: tuple[Exponent, ...]):
+        self.covector = covector
+        self.incident_points = incident_points
+
+    def __eq__(self, other):
+        if not isinstance(other, CompactFacet):
+            return NotImplemented
+        return (self.covector, self.incident_points) == (other.covector, other.incident_points)
+
+    def __hash__(self):
+        return hash((self.covector, self.incident_points))
 
 
-@dataclass(frozen=True)
 class NewtonPolyhedron:
-    n: int
-    support: tuple[Exponent, ...]
-    facets: tuple[CompactFacet, ...]
+    def __init__(self, n: int, support: tuple[Exponent, ...], facets: tuple[CompactFacet, ...]):
+        self.n = n
+        self.support = support
+        self.facets = facets
+
+    def __eq__(self, other):
+        if not isinstance(other, NewtonPolyhedron):
+            return NotImplemented
+        return (self.n, self.support, self.facets) == (other.n, other.support, other.facets)
+
+    def __hash__(self):
+        return hash((self.n, self.support, self.facets))
 
     @cached_property
     def vertices(self) -> frozenset[Exponent]:

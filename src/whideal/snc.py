@@ -15,23 +15,23 @@ The weight filtration is increasing in l and stabilizes at l = r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ValidationError
 from .monomial import MonomialIdeal
 
 
-@dataclass(frozen=True)
 class SncModel:
     """n ambient coordinates, the first r of which cut out the divisor."""
 
-    n: int
-    r: int
-
-    def __post_init__(self):
-        if not 1 <= self.r <= self.n:
-            raise ValidationError(f"need 1 <= r <= n, got r={self.r}, n={self.n}")
+    def __init__(self, n: int, r: int):
+        for name, value in (("n", n), ("r", r)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValidationError(f"{name} must be an int, got {value!r}")
+        if not 1 <= r <= n:
+            raise ValidationError(f"need 1 <= r <= n, got r={r}, n={n}")
+        self.n = n
+        self.r = r
 
 
 def _bounded_compositions(total: int, parts: int, bound: int):
@@ -82,19 +82,19 @@ def weighted_hodge_ideal_snc(model: SncModel, p: int, l: int) -> MonomialIdeal:
     return MonomialIdeal(n, gens)
 
 
-@dataclass(frozen=True)
 class SncCheck:
-    name: str
-    p: int
-    l: int | None
-    passed: bool
+    def __init__(self, name: str, p: int, l: int | None, passed: bool):
+        self.name = name
+        self.p = p
+        self.l = l
+        self.passed = passed
 
 
-@dataclass(frozen=True)
 class SncVerification:
-    model: SncModel
-    p_max: int
-    checks: tuple[SncCheck, ...]
+    def __init__(self, model: SncModel, p_max: int, checks: tuple[SncCheck, ...]):
+        self.model = model
+        self.p_max = p_max
+        self.checks = checks
 
     @property
     def all_passed(self) -> bool:

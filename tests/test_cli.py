@@ -359,6 +359,16 @@ def run_process(argv):
     )
 
 
+def test_cli_imports_no_dataclasses():
+    # -S keeps site-packages .pth files, which may import anything, out of it
+    probe = "import whideal.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, timeout=60, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().strip() == "[]"
+
+
 def test_module_entry_point_deterministic():
     first = run_process(["analyze", WORKED, "--witness", "w^5", "--json"])
     second = run_process(["analyze", WORKED, "--witness", "w^5", "--json"])

@@ -1,5 +1,7 @@
 """Binomial bookkeeping: filtration dimensions, tables, counting bounds."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -98,6 +100,16 @@ def test_table_rejects_bad_values():
         HodgeNumberTable(1)
 
 
+def test_table_rejects_non_int_n_and_non_dict_entries():
+    for n in (4.0, "4", Fraction(4), True):
+        with pytest.raises(ValidationError, match=r"^n must be an int"):
+            HodgeNumberTable(n)
+    with pytest.raises(ValidationError, match=r"^middle must be a dict"):
+        HodgeNumberTable(4, middle=[(1, 1, 3)])
+    with pytest.raises(ValidationError, match=r"^top must be a dict"):
+        HodgeNumberTable(4, top=((2, 2),))
+
+
 def test_table_rejects_boolean_indices():
     with pytest.raises(ValidationError, match=r"middle entry key \(True, 0\)"):
         HodgeNumberTable.from_json_dict({"n": 4, "middle": [[True, 0, 1]]})
@@ -110,6 +122,20 @@ def test_table_json_round_trip():
     data = t.to_json_dict()
     assert data["middle"] == [[0, 3, 2], [1, 1, 1]]
     assert HodgeNumberTable.from_json_dict(data) == t
+
+
+def test_table_value_semantics():
+    middle, top = {(1, 1): 3}, {(2, 2): 1}
+    t = HodgeNumberTable(4, middle, top)
+    assert t == HodgeNumberTable(n=4, middle=middle, top=top)
+    assert t != HodgeNumberTable(4, middle)
+    assert t != HodgeNumberTable(5, middle, top)
+    empty = HodgeNumberTable(4)
+    assert empty.middle == {} and empty.top == {}
+    assert empty == HodgeNumberTable(4, {}, {})
+    # dict fields: equal tables, but no hash
+    with pytest.raises(TypeError):
+        hash(t)
 
 
 def test_table_json_validation():

@@ -16,6 +16,7 @@ from whideal import (
     ASSUMPTION_BANNER,
     NONCONVENIENT_BANNER,
     Polynomial,
+    SingularityReport,
     ValidationError,
     classify,
     jacobian_witness,
@@ -330,6 +331,19 @@ def test_with_notes_appends():
     extended = rep.with_notes(["extra line"])
     assert extended.notes == rep.notes + ("extra line",)
     assert extended.minimal_exponent == rep.minimal_exponent
+
+
+def test_report_value_semantics():
+    rep = classify(parse_polynomial(WORKED))
+    before = dict(vars(rep))
+    extended = rep.with_notes(["extra line"])
+    assert vars(rep) == before
+    assert extended is not rep
+    assert extended.polyhedron is rep.polyhedron
+    assert vars(extended) == dict(before, notes=rep.notes + ("extra line",))
+    assert vars(SingularityReport(**before)) == before
+    positional = SingularityReport(*before.values())
+    assert positional.to_json_dict() == rep.to_json_dict()
 
 
 # -- properties ---------------------------------------------------------------

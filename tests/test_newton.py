@@ -17,7 +17,7 @@ from whideal import (
     minimal_exponent,
     parse_polynomial,
 )
-from whideal.newton import NewtonPolyhedron, _affine_rank, _covector_for
+from whideal.newton import CompactFacet, NewtonPolyhedron, _affine_rank, _covector_for
 
 
 def test_cusp_single_facet():
@@ -107,6 +107,22 @@ def test_coefficient_independence():
     a = parse_polynomial("x^2 + y^3")
     b = parse_polynomial("7x^2 - 3/2y^3")
     assert compute_polyhedron(a) == compute_polyhedron(b)
+
+
+def test_value_semantics():
+    poly = compute_polyhedron(parse_polynomial("x^3 + x*y + y^3"))
+    facet = poly.facets[0]
+    same = CompactFacet(covector=facet.covector, incident_points=facet.incident_points)
+    assert same == facet and hash(same) == hash(facet)
+    assert CompactFacet(facet.covector, facet.incident_points[:1]) != facet
+    assert len({facet, same, *poly.facets}) == len(poly.facets) == 2
+    rebuilt = NewtonPolyhedron(n=poly.n, support=poly.support, facets=poly.facets)
+    assert rebuilt == poly and hash(rebuilt) == hash(poly)
+    assert NewtonPolyhedron(poly.n, poly.support, poly.facets[:1]) != poly
+    assert poly != facet and facet != facet.covector
+    # the cached vertices are not part of the value
+    assert poly.vertices == {(3, 0), (1, 1), (0, 3)}
+    assert rebuilt == poly and hash(rebuilt) == hash(poly)
 
 
 def test_permutation_equivariance():

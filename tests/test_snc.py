@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations, permutations, product
 
 import pytest
@@ -15,6 +16,7 @@ from whideal import (
     verify_snc_theorems,
     weighted_hodge_ideal_snc,
 )
+from whideal.snc import SncCheck, SncVerification
 
 
 def test_model_validation():
@@ -26,6 +28,27 @@ def test_model_validation():
         hodge_ideal_snc(SncModel(2, 2), -1)
     with pytest.raises(ValidationError):
         weighted_hodge_ideal_snc(SncModel(2, 2), 1, -1)
+
+
+def test_model_rejects_non_int_sizes():
+    for bad in (3.5, "3", Fraction(3), True):
+        with pytest.raises(ValidationError, match=r"^n must be an int"):
+            SncModel(bad, 2)
+    for bad in (2.0, "2", Fraction(2), True):
+        with pytest.raises(ValidationError, match=r"^r must be an int"):
+            SncModel(3, bad)
+
+
+def test_value_semantics():
+    model = SncModel(3, 2)
+    assert vars(model) == vars(SncModel(n=3, r=2)) == {"n": 3, "r": 2}
+    result = verify_snc_theorems(model, 1)
+    assert result.model is model and result.p_max == 1
+    first = result.checks[0]
+    assert vars(first) == vars(SncCheck(name="chain", p=0, l=0, passed=True))
+    again = SncVerification(model=model, p_max=1, checks=result.checks)
+    assert vars(again) == vars(result)
+    assert again.to_json_dict() == result.to_json_dict()
 
 
 def test_hodge_ideal_smooth_and_p0_are_trivial():
