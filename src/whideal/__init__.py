@@ -11,7 +11,6 @@ from .dims import (
     HodgeNumberTable,
     binomial,
     graded_piece_dim,
-    hockey_stick,
     projective_bounds,
     pushforward_filtration_dim,
     surjectivity_threshold,
@@ -61,7 +60,6 @@ __all__ = [
     "graded_piece_dim",
     "grevlex_key",
     "groebner_basis",
-    "hockey_stick",
     "hodge_ideal_snc",
     "ideal_membership",
     "is_convenient",

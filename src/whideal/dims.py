@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ValidationError
+from .errors import ValidationError, require_int
 
 
 def binomial(n: int, k: int) -> int:
@@ -22,13 +22,6 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
-
-
-def hockey_stick(n: int, m: int) -> bool:
-    """Check sum_{k<=m} C(n-1+k, k) == C(n+m, m)."""
-    if n < 1 or m < 0:
-        raise ValidationError(f"need n >= 1 and m >= 0, got n={n}, m={m}")
-    return sum(binomial(n - 1 + k, k) for k in range(m + 1)) == binomial(n + m, m)
 
 
 def pushforward_filtration_dim(d, p: int, n: int) -> int:
@@ -79,8 +72,7 @@ class HodgeNumberTable:
     """Hodge numbers of the middle and top cohomology of G (dim G = n-2)."""
 
     def __init__(self, n: int, middle: dict | None = None, top: dict | None = None):
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise ValidationError(f"n must be an int, got {n!r}")
+        require_int("n", n)
         if n < 2:
             raise ValidationError(f"need n >= 2, got {n}")
         self.n = n
@@ -96,9 +88,6 @@ class HodgeNumberTable:
     def from_json_dict(cls, data: dict) -> "HodgeNumberTable":
         if not isinstance(data, dict) or "n" not in data:
             raise ValidationError("table JSON must be an object with an 'n' field")
-        n = data["n"]
-        if not isinstance(n, int):
-            raise ValidationError(f"'n' must be an int, got {n!r}")
         entries = {}
         for label in ("middle", "top"):
             rows = data.get(label, [])
@@ -113,7 +102,7 @@ class HodgeNumberTable:
                     raise ValidationError(f"duplicate '{label}' entry ({a},{b})")
                 table[(a, b)] = h
             entries[label] = table
-        return cls(n, entries["middle"], entries["top"])
+        return cls(data["n"], entries["middle"], entries["top"])
 
     def to_json_dict(self) -> dict:
         return {

@@ -1,7 +1,7 @@
 """Exception taxonomy shared by the library and the CLI.
 
 The CLI maps these onto exit codes: ParseError -> 1, ValidationError -> 2,
-SizeGuardError -> 3.
+SizeGuardError -> 3.  `require_int` is the one check of a size argument.
 """
 
 
@@ -25,3 +25,9 @@ class ValidationError(WhidealError):
 
 class SizeGuardError(WhidealError):
     """An instance exceeds the configured size guard for exact elimination."""
+
+
+def require_int(name: str, value) -> None:
+    """ValidationError unless `value` is an int; a bool is not a size."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an int, got {value!r}")

@@ -9,6 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import SizeGuardError, ValidationError
+from .monomial import MonomialIdeal
 from .poly import Polynomial, divides, grevlex_key
 
 DEFAULT_VAR_LIMIT = 8
@@ -97,23 +98,21 @@ def _buchberger(gens: list[dict]) -> list[dict]:
 
 
 def _reduce_basis(basis: list[dict]) -> list[dict]:
-    # Minimalize: drop elements whose lead is divisible by another lead.
-    order = sorted(range(len(basis)), key=lambda i: grevlex_key(_lead(basis[i])))
-    kept: list[dict] = []
-    kept_leads: list[tuple] = []
-    for i in order:
-        lead = _lead(basis[i])
-        if not any(divides(other, lead) for other in kept_leads):
-            kept.append(basis[i])
-            kept_leads.append(lead)
-    # Fully reduce tails and normalize to monic.
+    # Minimalize: one element per distinct lead (the reduced basis is
+    # unique, so which one does not matter), and of the leads only the
+    # minimal generators of the lead ideal, in descending order.
+    by_lead: dict[tuple, dict] = {}
+    for g in basis:
+        by_lead.setdefault(_lead(g), g)
+    n = len(next(iter(by_lead)))
+    leads = MonomialIdeal(n, by_lead).generators if n else tuple(by_lead)
+    kept = [(lead, by_lead[lead]) for lead in leads]
+    # Fully reduce tails and normalize to monic; no lead changes, so the
+    # descending order stays.
     reduced = []
-    for i, g in enumerate(kept):
-        others = [(kept_leads[k], kept[k]) for k in range(len(kept)) if k != i]
-        nf = _normal_form(g, others)
-        lc = nf[_lead(nf)]
-        reduced.append({e: c / lc for e, c in nf.items()})
-    reduced.sort(key=lambda g: grevlex_key(_lead(g)), reverse=True)
+    for i, (lead, g) in enumerate(kept):
+        nf = _normal_form(g, kept[:i] + kept[i + 1 :])
+        reduced.append({e: c / nf[lead] for e, c in nf.items()})
     return reduced
 
 

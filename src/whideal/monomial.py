@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from itertools import groupby
 
-from .errors import ValidationError
+from .errors import ValidationError, require_int
 from .poly import Exponent, as_exponent, divides, grevlex_key
 
 
@@ -28,16 +28,10 @@ class MonomialIdeal:
     __slots__ = ("n", "generators")
 
     def __init__(self, n: int, generators):
+        require_int("n", n)
         if n < 1:
             raise ValidationError("need n >= 1 variables")
-        clean = set()
-        for g in generators:
-            e = as_exponent(g)
-            if len(e) != n:
-                raise ValidationError(f"generator {e} has length {len(e)}, expected {n}")
-            if any(x < 0 for x in e):
-                raise ValidationError(f"negative exponent in {e}")
-            clean.add(e)
+        clean = {as_exponent(g, n) for g in generators}
         # Ascending grevlex orders by degree first: each degree is one run,
         # and the kept list reversed is the canonical descending order.
         minimal: list[Exponent] = []
@@ -46,42 +40,15 @@ class MonomialIdeal:
         self.n = n
         self.generators = tuple(reversed(minimal))
 
-    @classmethod
-    def zero(cls, n: int) -> "MonomialIdeal":
-        return cls(n, [])
-
-    @classmethod
-    def unit(cls, n: int) -> "MonomialIdeal":
-        return cls(n, [(0,) * n])
-
     @property
     def is_zero(self) -> bool:
         return not self.generators
-
-    @property
-    def is_unit(self) -> bool:
-        return self.generators == ((0,) * self.n,)
-
-    def contains_monomial(self, m: Exponent) -> bool:
-        m = as_exponent(m)
-        if len(m) != self.n:
-            raise ValidationError(f"monomial {m} has length {len(m)}, expected {self.n}")
-        return any(divides(g, m) for g in self.generators)
 
     def is_subideal(self, other: "MonomialIdeal") -> bool:
         if self.n != other.n:
             raise ValidationError("ideals live in different variable counts")
         # stored generators are already validated exponents of length n
         return all(any(divides(h, g) for h in other.generators) for g in self.generators)
-
-    def multiply(self, m: Exponent) -> "MonomialIdeal":
-        """The ideal x^m * self."""
-        m = as_exponent(m)
-        if len(m) != self.n or any(x < 0 for x in m):
-            raise ValidationError(f"shift {m} is not an exponent in {self.n} variables")
-        return MonomialIdeal(
-            self.n, [tuple(a + b for a, b in zip(g, m)) for g in self.generators]
-        )
 
     def __eq__(self, other):
         return (

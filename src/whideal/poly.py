@@ -47,18 +47,24 @@ def divides(a: Exponent, b: Exponent) -> bool:
     return all(map(operator.le, a, b))
 
 
-def as_exponent(entries) -> Exponent:
-    """`entries` as a tuple of ints.
+def as_exponent(entries, n: int) -> Exponent:
+    """`entries` as an exponent in n variables: a tuple of n ints >= 0.
 
     An entry that is not an integer (a float, a string, a Fraction) is a
-    ValidationError naming it, never truncated.
+    ValidationError naming it, never truncated; so are a length other than
+    n and a negative entry.
     """
     e = tuple(entries)
     try:
-        return tuple(map(operator.index, e))
+        e = tuple(map(operator.index, e))
     except TypeError:
         bad = next(x for x in e if not hasattr(x, "__index__"))
         raise ValidationError(f"exponent {e!r} has non-integer entry {bad!r}") from None
+    if len(e) != n:
+        raise ValidationError(f"exponent {e} has length {len(e)}, expected {n}")
+    if e and min(e) < 0:
+        raise ValidationError(f"negative exponent in {e}")
+    return e
 
 
 class Polynomial:
@@ -79,14 +85,9 @@ class Polynomial:
             raise ValidationError(f"duplicate variable in {vs!r}")
         items = terms.items() if isinstance(terms, dict) else terms
         acc: dict[Exponent, Fraction] = {}
+        n = len(vs)
         for exponent, coeff in items:
-            e = as_exponent(exponent)
-            if len(e) != len(vs):
-                raise ValidationError(
-                    f"exponent {e} has length {len(e)}, expected {len(vs)}"
-                )
-            if any(x < 0 for x in e):
-                raise ValidationError(f"negative exponent in {e}")
+            e = as_exponent(exponent, n)
             if not isinstance(coeff, Rational):
                 raise ValidationError(
                     f"coefficient {coeff!r} of {e} is not exact rational (int or Fraction)"
@@ -94,11 +95,6 @@ class Polynomial:
             acc[e] = acc.get(e, Fraction(0)) + Fraction(coeff)
         self.variables = vs
         self.terms = {e: c for e, c in acc.items() if c != 0}
-
-    @classmethod
-    def constant(cls, variables, value) -> "Polynomial":
-        vs = tuple(variables)
-        return cls(vs, {(0,) * len(vs): value})
 
     @property
     def n(self) -> int:
@@ -110,14 +106,6 @@ class Polynomial:
 
     def support(self) -> frozenset[Exponent]:
         return frozenset(self.terms)
-
-    def total_degree(self) -> int:
-        if self.is_zero:
-            raise ValidationError("the zero polynomial has no degree")
-        return max(sum(e) for e in self.terms)
-
-    def coefficient(self, exponent: Exponent) -> Fraction:
-        return self.terms.get(tuple(exponent), Fraction(0))
 
     def partial(self, i: int) -> "Polynomial":
         """Partial derivative with respect to the i-th variable."""
@@ -250,6 +238,19 @@ class _Parser:
             raise ParseError(message + ", got end of input")
         raise ParseError(f"{message}, got {value!r}", pos)
 
+    def accept(self, symbol):
+        """Take the next token if it is the operator `symbol`."""
+        kind, value, _ = self.peek()
+        if kind == "op" and value == symbol:
+            self.i += 1
+            return True
+        return False
+
+    def accept_star(self):
+        """An optional '*', which must be followed by a variable."""
+        if self.accept("*") and self.peek()[0] != "name":
+            self.fail("expected variable after '*'")
+
     def parse_uint(self, what):
         kind, value, pos = self.peek()
         if kind != "int":
@@ -260,23 +261,17 @@ class _Parser:
     def parse_term(self):
         coeff = Fraction(1)
         exponents: dict[str, int] = {}
-        saw_anything = False
+        start = self.i
         kind, value, _ = self.peek()
         if kind == "int":
             self.take()
-            num = int(value)
             den = 1
-            if self.peek()[0] == "op" and self.peek()[1] == "/":
-                self.take()
+            if self.accept("/"):
                 den = self.parse_uint("denominator")
                 if den == 0:
                     raise ParseError("zero denominator", self.tokens[self.i - 1][2])
-            coeff = Fraction(num, den)
-            saw_anything = True
-            if self.peek()[0] == "op" and self.peek()[1] == "*":
-                self.take()
-                if self.peek()[0] != "name":
-                    self.fail("expected variable after '*'")
+            coeff = Fraction(int(value), den)
+            self.accept_star()
         while self.peek()[0] == "name":
             kind, name, pos = self.take()
             if self.known is not None:
@@ -284,17 +279,10 @@ class _Parser:
                     raise ParseError(f"unknown variable {name!r}", pos)
             elif name not in self.order:
                 self.order.append(name)
-            power = 1
-            if self.peek()[0] == "op" and self.peek()[1] == "^":
-                self.take()
-                power = self.parse_uint("unsigned exponent")
+            power = self.parse_uint("unsigned exponent") if self.accept("^") else 1
             exponents[name] = exponents.get(name, 0) + power
-            saw_anything = True
-            if self.peek()[0] == "op" and self.peek()[1] == "*":
-                self.take()
-                if self.peek()[0] != "name":
-                    self.fail("expected variable after '*'")
-        if not saw_anything:
+            self.accept_star()
+        if self.i == start:
             self.fail("expected term")
         return coeff, exponents
 

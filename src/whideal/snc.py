@@ -10,14 +10,16 @@ coordinates, so everything here is exact combinatorics:
   I_p^{W_0}(D)  = ( (x_1 ... x_r)^{p+1} )
   I_p^{W_l}(D)  = I_p(D)                                  for l >= r
 
-The weight filtration is increasing in l and stabilizes at l = r.
+The weight filtration is increasing in l and stabilizes at l = r.  At
+l = r the only subset is J = I and the second formula is the first, so
+I_p(D) is computed as the piece I_p^{W_r}(D), by the one generator loop.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import ValidationError
+from .errors import ValidationError, require_int
 from .monomial import MonomialIdeal
 
 
@@ -25,9 +27,8 @@ class SncModel:
     """n ambient coordinates, the first r of which cut out the divisor."""
 
     def __init__(self, n: int, r: int):
-        for name, value in (("n", n), ("r", r)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValidationError(f"{name} must be an int, got {value!r}")
+        require_int("n", n)
+        require_int("r", r)
         if not 1 <= r <= n:
             raise ValidationError(f"need 1 <= r <= n, got r={r}, n={n}")
         self.n = n
@@ -48,36 +49,29 @@ def _bounded_compositions(total: int, parts: int, bound: int):
 
 
 def hodge_ideal_snc(model: SncModel, p: int) -> MonomialIdeal:
-    """I_p(D) for the normal-crossings model."""
-    if p < 0:
-        raise ValidationError(f"need p >= 0, got {p}")
-    n, r = model.n, model.r
-    gens = []
-    for a in _bounded_compositions(p * (r - 1), r, p):
-        gens.append(a + (0,) * (n - r))
-    return MonomialIdeal(n, gens)
+    """I_p(D) for the normal-crossings model: the top weight piece."""
+    return weighted_hodge_ideal_snc(model, p, model.r)
 
 
 def weighted_hodge_ideal_snc(model: SncModel, p: int, l: int) -> MonomialIdeal:
     """I_p^{W_l}(D) for the normal-crossings model."""
+    require_int("p", p)
+    require_int("l", l)
     if p < 0:
         raise ValidationError(f"need p >= 0, got {p}")
     if l < 0:
         raise ValidationError(f"need l >= 0, got {l}")
     n, r = model.n, model.r
+    base = [p + 1] * r + [0] * (n - r)  # (x_1 ... x_r)^{p+1}
     if l == 0:
-        return MonomialIdeal(n, [(p + 1,) * r + (0,) * (n - r)])
-    if l >= r:
-        return hodge_ideal_snc(model, p)
+        return MonomialIdeal(n, [base])
+    l = min(l, r)
     gens = []
     for subset in combinations(range(r), l):
-        rest = [i for i in range(r) if i not in subset]
         for a in _bounded_compositions(p * (l - 1), l, p):
-            e = [0] * n
+            e = base.copy()
             for i, ai in zip(subset, a):
                 e[i] = ai
-            for i in rest:
-                e[i] = p + 1
             gens.append(tuple(e))
     return MonomialIdeal(n, gens)
 
@@ -121,6 +115,7 @@ def verify_snc_theorems(model: SncModel, p_max: int) -> SncVerification:
     for p >= 1 the full Hodge ideal sits inside the adjoint-type ideal
     I_0^{W_1}.
     """
+    require_int("p_max", p_max)
     if p_max < 0:
         raise ValidationError(f"need p_max >= 0, got {p_max}")
     n, r = model.n, model.r

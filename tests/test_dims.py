@@ -1,5 +1,6 @@
 """Binomial bookkeeping: filtration dimensions, tables, counting bounds."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,6 @@ from whideal import (
     ValidationError,
     binomial,
     graded_piece_dim,
-    hockey_stick,
     projective_bounds,
     pushforward_filtration_dim,
     surjectivity_threshold,
@@ -28,11 +28,13 @@ def test_binomial_conventions():
 
 
 def test_hockey_stick_grid():
-    assert all(hockey_stick(n, m) for n in range(1, 21) for m in range(21))
-    with pytest.raises(ValidationError):
-        hockey_stick(0, 3)
-    with pytest.raises(ValidationError):
-        hockey_stick(3, -1)
+    # sum_{k<=m} C(n-1+k, k) = C(n+m, m), the identity that collapses the
+    # double sum of `pushforward_filtration_dim`
+    assert all(
+        sum(math.comb(n - 1 + k, k) for k in range(m + 1)) == math.comb(n + m, m)
+        for n in range(1, 21)
+        for m in range(21)
+    )
 
 
 # -- pushforward filtration dimension -----------------------------------------
@@ -141,8 +143,9 @@ def test_table_value_semantics():
 def test_table_json_validation():
     with pytest.raises(ValidationError):
         HodgeNumberTable.from_json_dict({"middle": []})
-    with pytest.raises(ValidationError):
-        HodgeNumberTable.from_json_dict({"n": "4"})
+    for n in ("4", True, 4.0):
+        with pytest.raises(ValidationError, match=r"^n must be an int, got "):
+            HodgeNumberTable.from_json_dict({"n": n})
     with pytest.raises(ValidationError):
         HodgeNumberTable.from_json_dict({"n": 4, "middle": {"a": 1}})
     with pytest.raises(ValidationError):

@@ -30,6 +30,19 @@ def test_model_validation():
         weighted_hodge_ideal_snc(SncModel(2, 2), 1, -1)
 
 
+def test_entry_points_reject_non_int_sizes():
+    model = SncModel(2, 2)
+    for bad in (1.5, 1.0, "1", Fraction(1), True):
+        with pytest.raises(ValidationError, match=r"^p must be an int, got "):
+            hodge_ideal_snc(model, bad)
+        with pytest.raises(ValidationError, match=r"^p must be an int, got "):
+            weighted_hodge_ideal_snc(model, bad, 1)
+        with pytest.raises(ValidationError, match=r"^l must be an int, got "):
+            weighted_hodge_ideal_snc(model, 1, bad)
+        with pytest.raises(ValidationError, match=r"^p_max must be an int, got "):
+            verify_snc_theorems(model, bad)
+
+
 def test_model_rejects_non_int_sizes():
     for bad in (3.5, "3", Fraction(3), True):
         with pytest.raises(ValidationError, match=r"^n must be an int"):
@@ -52,8 +65,9 @@ def test_value_semantics():
 
 
 def test_hodge_ideal_smooth_and_p0_are_trivial():
-    assert hodge_ideal_snc(SncModel(3, 1), 2).is_unit
-    assert hodge_ideal_snc(SncModel(3, 3), 0).is_unit
+    unit = MonomialIdeal(3, [(0, 0, 0)])
+    assert hodge_ideal_snc(SncModel(3, 1), 2) == unit
+    assert hodge_ideal_snc(SncModel(3, 3), 0) == unit
 
 
 def test_hodge_ideal_two_branches():
