@@ -20,8 +20,7 @@ from .dims import (
     pushforward_filtration_dim,
     surjectivity_threshold,
 )
-from .errors import ParseError, SizeGuardError, ValidationError
-from .groebner import DEFAULT_TERM_LIMIT, DEFAULT_VAR_LIMIT
+from .errors import ParseError, SizeGuardError, ValidationError, require_int
 from .invariants import classify, jacobian_witness, witness_annotation
 from .poly import fraction_text, parse_polynomial
 from .snc import SncModel, hodge_ideal_snc, verify_snc_theorems, weighted_hodge_ideal_snc
@@ -39,6 +38,16 @@ def _style(text: str, code: str) -> str:
 
 def _pass_fail(ok: bool) -> str:
     return _style("PASS", "32") if ok else _style("FAIL", "31")
+
+
+def _print_checks(runs, show_model: bool):
+    """One `PASS|FAIL name [n= r= ]p= [l=]` line per check, then a verdict."""
+    for v in runs:
+        model = f"n={v.model.n} r={v.model.r} " if show_model else ""
+        for check in v.checks:
+            where = model + f"p={check.p}" + ("" if check.l is None else f" l={check.l}")
+            print(f"{_pass_fail(check.passed)} {check.name} {where}")
+    print("all checks passed" if all(v.all_passed for v in runs) else "some checks FAILED")
 
 
 def _emit_json(payload: dict):
@@ -73,14 +82,7 @@ def cmd_analyze(args) -> int:
             raise ValidationError(f"witness {args.witness!r} must be a single monic monomial")
         (m,) = witness_poly.terms
         p = report.p_level if report.p_level is not None else 0
-        limit = args.groebner_limit or 0  # lifts each limit, never lowers it
-        outside = jacobian_witness(
-            f,
-            m,
-            p,
-            var_limit=max(DEFAULT_VAR_LIMIT, limit),
-            term_limit=max(DEFAULT_TERM_LIMIT, limit),
-        )
+        outside = jacobian_witness(f, m, p, limit=args.groebner_limit)
         report = report.with_notes(
             [witness_annotation(f, m, p, outside, report.nilpotency_upper)]
         )
@@ -146,10 +148,7 @@ def cmd_snc(args) -> int:
     else:
         print(ideal.render())
         if verification is not None:
-            for check in verification.checks:
-                where = f"p={check.p}" + ("" if check.l is None else f" l={check.l}")
-                print(f"{_pass_fail(check.passed)} {check.name} {where}")
-            print("all checks passed" if verification.all_passed else "some checks FAILED")
+            _print_checks([verification], show_model=False)
     if verification is not None and not verification.all_passed:
         return 2
     return 0
@@ -213,8 +212,7 @@ def cmd_dims(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.n < 1:
-        raise ValidationError(f"need n >= 1, got {args.n}")
+    require_int("n", args.n, 1)
     r_values = [args.r] if args.r is not None else list(range(1, args.n + 1))
     results = []
     for r in r_values:
@@ -231,13 +229,7 @@ def cmd_verify(args) -> int:
             }
         )
     else:
-        for v in results:
-            for check in v.checks:
-                where = f"n={v.model.n} r={v.model.r} p={check.p}"
-                if check.l is not None:
-                    where += f" l={check.l}"
-                print(f"{_pass_fail(check.passed)} {check.name} {where}")
-        print("all checks passed" if all_ok else "some checks FAILED")
+        _print_checks(results, show_model=True)
     return 0 if all_ok else 2
 
 

@@ -1,7 +1,9 @@
 """Exception taxonomy shared by the library and the CLI.
 
 The CLI maps these onto exit codes: ParseError -> 1, ValidationError -> 2,
-SizeGuardError -> 3.  `require_int` is the one check of a size argument.
+SizeGuardError -> 3.  `require_int(name, value, minimum)` is the one check
+of a size argument: its type and its lower bound.  A compound bound that
+involves another size (1 <= r <= n, p <= n-2) is checked after it.
 """
 
 
@@ -27,7 +29,9 @@ class SizeGuardError(WhidealError):
     """An instance exceeds the configured size guard for exact elimination."""
 
 
-def require_int(name: str, value) -> None:
-    """ValidationError unless `value` is an int; a bool is not a size."""
+def require_int(name: str, value, minimum: int) -> None:
+    """ValidationError unless `value` is an int >= minimum; a bool is not a size."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValidationError(f"{name} must be an int, got {value!r}")
+    if value < minimum:
+        raise ValidationError(f"need {name} >= {minimum}, got {value}")

@@ -1,7 +1,8 @@
 """Buchberger-based ideal membership over Q, graded reverse lex order.
 
 Deliberately desk scale: a size guard refuses instances that exact dense
-elimination is not meant for, and the guard is only lifted explicitly.
+elimination is not meant for, and the guard is only lifted explicitly, by
+the `limit` keyword, which never lowers it.
 """
 
 from __future__ import annotations
@@ -133,13 +134,12 @@ def ideal_membership(
     g: Polynomial,
     generators: list[Polynomial],
     *,
-    var_limit: int = DEFAULT_VAR_LIMIT,
-    term_limit: int = DEFAULT_TERM_LIMIT,
+    limit: int | None = None,
 ) -> bool:
     """Decide g in (generators) over Q[variables].
 
-    Raises SizeGuardError when the instance exceeds the limits; pass larger
-    limits to override.
+    Raises SizeGuardError when the instance exceeds the limits; `limit`
+    lifts both to max(default, limit).
     """
     gens = [h for h in generators if not h.is_zero]
     for h in gens:
@@ -149,6 +149,8 @@ def ideal_membership(
         return True
     if not gens:
         return False
+    var_limit = max(DEFAULT_VAR_LIMIT, limit or 0)
+    term_limit = max(DEFAULT_TERM_LIMIT, limit or 0)
     if g.n > var_limit:
         raise SizeGuardError(
             f"{g.n} variables exceeds the limit of {var_limit}"

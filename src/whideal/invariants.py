@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ValidationError
-from .groebner import DEFAULT_TERM_LIMIT, DEFAULT_VAR_LIMIT, ideal_membership
+from .errors import ValidationError, require_int
+from .groebner import ideal_membership
 from .newton import NewtonPolyhedron, _affine_rank, checked_support, compute_polyhedron, facets_json, is_convenient
 from .poly import Exponent, Polynomial, fraction_text, jacobian_ideal
 
@@ -56,21 +56,18 @@ def jacobian_witness(
     m: Exponent,
     p: int,
     *,
-    var_limit: int = DEFAULT_VAR_LIMIT,
-    term_limit: int = DEFAULT_TERM_LIMIT,
+    limit: int | None = None,
 ) -> bool:
     """True iff the monomial x^m lies outside the Jacobian ideal of f.
 
     This is the low-level obstruction primitive: a witness outside J(f)
     follows the worked pattern (t dt)^(p+1) dt^p delta not in V^{>1}.  No
     claim is made about which monomials are valid witnesses in general.
+    `limit` lifts the membership size guard, as in `ideal_membership`.
     """
-    if p < 0:
-        raise ValidationError(f"need p >= 0, got {p}")
+    require_int("p", p, 0)
     monomial = Polynomial(f.variables, {tuple(m): Fraction(1)})
-    return not ideal_membership(
-        monomial, jacobian_ideal(f), var_limit=var_limit, term_limit=term_limit
-    )
+    return not ideal_membership(monomial, jacobian_ideal(f), limit=limit)
 
 
 def witness_annotation(

@@ -28,9 +28,7 @@ class MonomialIdeal:
     __slots__ = ("n", "generators")
 
     def __init__(self, n: int, generators):
-        require_int("n", n)
-        if n < 1:
-            raise ValidationError("need n >= 1 variables")
+        require_int("n", n, 1)
         clean = {as_exponent(g, n) for g in generators}
         # Ascending grevlex orders by degree first: each degree is one run,
         # and the kept list reversed is the canonical descending order.

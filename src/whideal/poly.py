@@ -316,8 +316,6 @@ def parse_polynomial(text: str, variables=None) -> Polynomial:
     """
     if variables is not None:
         variables = tuple(str(v) for v in variables)
-        if len(set(variables)) != len(variables):
-            raise ValidationError(f"duplicate variable in {variables!r}")
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty input", 0)

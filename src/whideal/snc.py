@@ -13,6 +13,9 @@ coordinates, so everything here is exact combinatorics:
 The weight filtration is increasing in l and stabilizes at l = r.  At
 l = r the only subset is J = I and the second formula is the first, so
 I_p(D) is computed as the piece I_p^{W_r}(D), by the one generator loop.
+
+Of the checks of `verify_snc_theorems`, stabilization (the loop reads l as
+min(l, r)) and w0-principal (the l = 0 branch) hold by construction.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ class SncModel:
     """n ambient coordinates, the first r of which cut out the divisor."""
 
     def __init__(self, n: int, r: int):
-        require_int("n", n)
-        require_int("r", r)
-        if not 1 <= r <= n:
+        require_int("n", n, 1)
+        require_int("r", r, 1)
+        if r > n:
             raise ValidationError(f"need 1 <= r <= n, got r={r}, n={n}")
         self.n = n
         self.r = r
@@ -55,12 +58,8 @@ def hodge_ideal_snc(model: SncModel, p: int) -> MonomialIdeal:
 
 def weighted_hodge_ideal_snc(model: SncModel, p: int, l: int) -> MonomialIdeal:
     """I_p^{W_l}(D) for the normal-crossings model."""
-    require_int("p", p)
-    require_int("l", l)
-    if p < 0:
-        raise ValidationError(f"need p >= 0, got {p}")
-    if l < 0:
-        raise ValidationError(f"need l >= 0, got {l}")
+    require_int("p", p, 0)
+    require_int("l", l, 0)
     n, r = model.n, model.r
     base = [p + 1] * r + [0] * (n - r)  # (x_1 ... x_r)^{p+1}
     if l == 0:
@@ -114,16 +113,18 @@ def verify_snc_theorems(model: SncModel, p_max: int) -> SncVerification:
     to I_p(D) from l = r on, I_p^{W_0} is the expected principal ideal, and
     for p >= 1 the full Hodge ideal sits inside the adjoint-type ideal
     I_0^{W_1}.
+
+    The stabilization and w0-principal checks hold by construction (l is
+    read as min(l, r), and l = 0 is its own branch); they stay so that the
+    number and order of the checks are fixed.  I_p(D) is ladder[r].
     """
-    require_int("p_max", p_max)
-    if p_max < 0:
-        raise ValidationError(f"need p_max >= 0, got {p_max}")
+    require_int("p_max", p_max, 0)
     n, r = model.n, model.r
     checks = []
     adjoint = weighted_hodge_ideal_snc(model, 0, 1)
     for p in range(p_max + 1):
         ladder = [weighted_hodge_ideal_snc(model, p, l) for l in range(n + 2)]
-        hodge = hodge_ideal_snc(model, p)
+        hodge = ladder[r]
         for l in range(n + 1):
             checks.append(
                 SncCheck("chain", p, l, ladder[l].is_subideal(ladder[l + 1]))

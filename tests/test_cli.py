@@ -127,6 +127,12 @@ def test_analyze_parse_error_exit(capsys):
     assert "parse error" in err and "position" in err
 
 
+def test_analyze_unexpected_character_exit(capsys):
+    code, out, err = run_main(capsys, ["analyze", "x $ y"])
+    assert (code, out) == (1, "")
+    assert err == "parse error: unexpected character '$' (at position 2)\n"
+
+
 def test_analyze_validation_exit(capsys):
     code, _, err = run_main(capsys, ["analyze", "x*y"])
     assert code == 2
@@ -197,6 +203,15 @@ def test_snc_json_payload(capsys):
     assert data["n"] == 2 and data["r"] == 2 and data["p"] == 1 and data["l"] == 1
     assert data["generators"] == [[2, 0], [0, 2]]
     assert data["rendered"] == "(x1^2, x2^2)"
+
+
+def test_snc_verify_json_payload(capsys):
+    code, out, _ = run_main(capsys, ["snc", "--n", "3", "--r", "2", "--p", "2", "--verify", "--json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["generators"] == [[2, 0, 0], [1, 1, 0], [0, 2, 0]]
+    expected = whideal.verify_snc_theorems(whideal.SncModel(3, 2), 2).to_json_dict()
+    assert payload["verification"] == expected
 
 
 def test_snc_validation_exit(capsys):
@@ -291,6 +306,15 @@ def test_dims_unreadable_table(capsys, tmp_path):
     assert code == 2 and out == ""
     assert err.startswith(f"error: cannot read table {str(not_utf8)!r}: ")
     assert err.count("\n") == 1
+
+
+def test_dims_malformed_row_key_exits_two(capsys, tmp_path):
+    # the key [1] is a list: checked as a key type, never hashed
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"n": 4, "middle": [[[1], 0, 1]]}), encoding="utf-8")
+    code, out, err = run_main(capsys, ["dims", "--table", str(path), "--l", "3", "--p", "1"])
+    assert (code, out) == (2, "")
+    assert err == "error: middle entry key ([1], 0) must be a pair of ints\n"
 
 
 # -- verify ------------------------------------------------------------------------

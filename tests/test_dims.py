@@ -152,6 +152,9 @@ def test_table_json_validation():
         HodgeNumberTable.from_json_dict({"n": 4, "middle": [[1, 1]]})
     with pytest.raises(ValidationError):
         HodgeNumberTable.from_json_dict({"n": 4, "middle": [[1, 1, 2], [1, 1, 3]]})
+    # a list key is a key type error, checked before anything hashes it
+    with pytest.raises(ValidationError, match=r"^middle entry key \(\[1\], 0\) must be a pair"):
+        HodgeNumberTable.from_json_dict({"n": 4, "middle": [[[1], 0, 1]]})
 
 
 # -- graded piece dimensions ----------------------------------------------------

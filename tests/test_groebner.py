@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from oracle_membership import truncated_membership
 from whideal import (
     Polynomial,
     SizeGuardError,
+    ValidationError,
     grevlex_key,
     groebner_basis,
     ideal_membership,
@@ -68,7 +70,23 @@ def test_size_guard_variables():
     g = Polynomial(vs, {(0,) * 9: 1})
     with pytest.raises(SizeGuardError):
         ideal_membership(g, gens)
-    assert ideal_membership(g, gens, var_limit=9) is False
+    assert ideal_membership(g, gens, limit=9) is False
+
+
+def test_limit_never_lowers_the_guard():
+    vs = ("x", "y")
+    assert ideal_membership(P("x*y", vs), [P("x", vs)], limit=0)
+    assert ideal_membership(P("x*y", vs), [P("x", vs)], limit=-5)
+    params = inspect.signature(ideal_membership).parameters
+    assert "limit" in params and not {"var_limit", "term_limit"} & params.keys()
+
+
+def test_inputs_must_share_one_variable_list():
+    xy, yx = P("x", ("x", "y")), P("x", ("y", "x"))
+    with pytest.raises(ValidationError, match=r"^generators must share one variable list$"):
+        groebner_basis([xy, yx])
+    with pytest.raises(ValidationError, match=r"^membership inputs must share one variable list$"):
+        ideal_membership(xy, [yx])
 
 
 def test_size_guard_terms():
@@ -77,8 +95,8 @@ def test_size_guard_terms():
     with pytest.raises(SizeGuardError):
         ideal_membership(P("x", vs), gens)
     # lifted guard actually runs: x*g is a member, x alone is not
-    assert ideal_membership(P("x", vs) * gens[0], gens, term_limit=50)
-    assert ideal_membership(P("x", vs), gens, term_limit=50) is False
+    assert ideal_membership(P("x", vs) * gens[0], gens, limit=50)
+    assert ideal_membership(P("x", vs), gens, limit=50) is False
 
 
 def _random_poly(rng, vs, max_terms, max_degree):

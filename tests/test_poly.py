@@ -65,6 +65,20 @@ def test_parse_syntax_errors():
             parse_polynomial(bad)
 
 
+def test_parse_unexpected_character_reports_position():
+    with pytest.raises(ParseError, match=r"^unexpected character '\$' \(at position 2\)$") as info:
+        parse_polynomial("x $ y")
+    assert info.value.position == 2
+
+
+def test_duplicate_variable_names_are_rejected():
+    # checked once, by the Polynomial constructor that the parser ends in
+    with pytest.raises(ValidationError, match=r"^duplicate variable in \('x', 'x'\)$"):
+        parse_polynomial("x", ("x", "x"))
+    with pytest.raises(ValidationError, match=r"^duplicate variable in \('x', 'x'\)$"):
+        Polynomial(("x", "x"), {})
+
+
 def test_parse_unknown_variable_with_explicit_list():
     with pytest.raises(ParseError, match="unknown variable"):
         parse_polynomial("x + t", ("x", "y"))
