@@ -191,6 +191,12 @@ def cmd_dims(args) -> int:
     pushforward = None
     if args.pushforward is not None:
         amb_n, push_p = args.pushforward
+        # P also indexes the graded pieces, so check it here, under its own
+        # name, rather than let graded_piece_dim blame --p.
+        require_int("--pushforward N", amb_n, 1)
+        require_int("--pushforward P", push_p, 0)
+        if push_p > table.n - 2:
+            raise ValidationError(f"need --pushforward P <= n-2, got P={push_p}, n={table.n}")
         d = {r: graded_piece_dim(table, args.l, r) for r in range(push_p + 1)}
         pushforward = pushforward_filtration_dim(d, push_p, amb_n)
     if args.json:

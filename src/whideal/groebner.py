@@ -141,6 +141,9 @@ def ideal_membership(
     Raises SizeGuardError when the instance exceeds the limits; `limit`
     lifts both to max(default, limit).
     """
+    # Any int is a limit: one at or below a default leaves it as it is.
+    if limit is not None and (not isinstance(limit, int) or isinstance(limit, bool)):
+        raise ValidationError(f"limit must be an int or None, got {limit!r}")
     gens = [h for h in generators if not h.is_zero]
     for h in gens:
         if h.variables != g.variables:

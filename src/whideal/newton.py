@@ -12,8 +12,12 @@ the solving and the rank counting.
 A support point a that another support point b divides (a >= b, a != b)
 lies strictly above every compact facet, since B > 0 gives
 <a, B> > <b, B> >= 1, and it is never a vertex.  So once the support has
-more than n points, facets are enumerated over the undominated points only:
-C(undominated, n) eliminations instead of C(m, n).
+more than n points, facets are enumerated over the undominated points only,
+and each facet is solved once: an n-subset inside an already-found facet
+with more than n points is skipped.  That costs C(undominated, n)
+eliminations less the subsets inside such wide facets, instead of C(m, n).
+A weighted-homogeneous support lies on one facet, so it costs only the
+subsets up to its first affinely independent one.
 """
 
 from __future__ import annotations
@@ -196,7 +200,11 @@ def _compact_facets(support, n) -> dict[tuple[Fraction, ...], tuple[Exponent, ..
     and affinely independent points on a hyperplane missing the origin are
     linearly independent, so solving <A, B> = 1 on each n-subset and keeping
     the strictly positive covectors that support the whole support set finds
-    them all.  Coplanar subsets collapse by covector.
+    them all.  Each facet is solved once: a later subset whose points all lie
+    on an already-found facet with more than n incident points is skipped,
+    since independent points on that hyperplane solve to its covector and
+    dependent ones solve to nothing.  So an input costs C(points, n)
+    eliminations less the subsets inside such wide facets.
 
     A dominated point a = b + d (d >= 0, d != 0) has <a, B> > <b, B> >= 1
     for every B > 0: it spans no facet, is incident to none and never decides
@@ -207,9 +215,12 @@ def _compact_facets(support, n) -> dict[tuple[Fraction, ...], tuple[Exponent, ..
     """
     points = _undominated(support, n) if len(support) > n else support
     found: dict[tuple[Fraction, ...], tuple[Exponent, ...]] = {}
+    wide: list[frozenset[Exponent]] = []
     for subset in combinations(points, n):
+        if any(facet.issuperset(subset) for facet in wide):
+            continue
         cov = _covector_for(subset)
-        if cov is None or any(b <= 0 for b in cov) or cov in found:
+        if cov is None or any(b <= 0 for b in cov):
             continue
         incident = []
         for a in points:
@@ -220,6 +231,8 @@ def _compact_facets(support, n) -> dict[tuple[Fraction, ...], tuple[Exponent, ..
                 incident.append(a)
         else:
             found[cov] = tuple(incident)
+            if len(incident) > n:
+                wide.append(frozenset(incident))
     return found
 
 

@@ -308,6 +308,25 @@ def test_dims_unreadable_table(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_dims_pushforward_range_names_pushforward(capsys, tmp_path):
+    # the n = 5 table has pieces for p <= 3; --p 1 is valid, P is not
+    path = write_table(tmp_path)
+    for pair, message in [
+        (("3", "4"), "need --pushforward P <= n-2, got P=4, n=5"),
+        (("3", "-1"), "need --pushforward P >= 0, got -1"),
+        (("0", "1"), "need --pushforward N >= 1, got 0"),
+    ]:
+        for extra in ([], ["--json"]):
+            code, out, err = run_main(
+                capsys, ["dims", "--table", path, "--l", "3", "--p", "1", "--pushforward", *pair, *extra]
+            )
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+    code, out, _ = run_main(
+        capsys, ["dims", "--table", path, "--l", "3", "--p", "1", "--pushforward", "3", "3"]
+    )
+    assert code == 0 and out.splitlines()[1] == "dim F_p pushforward (n=3, p=3): 50"
+
+
 def test_dims_malformed_row_key_exits_two(capsys, tmp_path):
     # the key [1] is a list: checked as a key type, never hashed
     path = tmp_path / "table.json"

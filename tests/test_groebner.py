@@ -1,5 +1,6 @@
 import inspect
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from whideal import (
     groebner_basis,
     ideal_membership,
     jacobian_ideal,
+    jacobian_witness,
     parse_polynomial,
 )
 
@@ -79,6 +81,25 @@ def test_limit_never_lowers_the_guard():
     assert ideal_membership(P("x*y", vs), [P("x", vs)], limit=-5)
     params = inspect.signature(ideal_membership).parameters
     assert "limit" in params and not {"var_limit", "term_limit"} & params.keys()
+
+
+def test_limit_must_be_an_int_or_none():
+    vs = ("x", "y")
+    f = P("x^2 + y^3", vs)
+    for bad in ("5", 2.5, True, Fraction(9)):
+        message = rf"^limit must be an int or None, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValidationError, match=message):
+            ideal_membership(P("x*y", vs), [P("x", vs)], limit=bad)
+        # checked before the early answers: a zero g would otherwise return True
+        with pytest.raises(ValidationError, match=message):
+            ideal_membership(Polynomial(vs, {}), [], limit=bad)
+        with pytest.raises(ValidationError, match=message):
+            jacobian_witness(f, (0, 1), 0, limit=bad)
+    # ideal_membership's ints are in test_limit_never_lowers_the_guard.
+    for limit in (None, -5, 10**6):
+        # J(f) = (2x, 3y^2): y lies outside it, y^2 inside
+        assert jacobian_witness(f, (0, 1), 0, limit=limit) is True
+        assert jacobian_witness(f, (0, 2), 0, limit=limit) is False
 
 
 def test_inputs_must_share_one_variable_list():

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from math import comb
+from itertools import product
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -201,7 +202,9 @@ def test_matches_brute_force_oracle():
         assert np_.shifted_weight_one() == rho_one_oracle(support)
 
 
-def test_facets_solve_only_undominated_subsets(monkeypatch):
+@pytest.fixture
+def covector_calls(monkeypatch):
+    """The point tuples `_covector_for` is called with, in call order."""
     calls = []
 
     def counting(points):
@@ -209,19 +212,126 @@ def test_facets_solve_only_undominated_subsets(monkeypatch):
         return _covector_for(points)
 
     monkeypatch.setattr(whideal.newton, "_covector_for", counting)
+    return calls
+
+
+def test_facets_solve_only_undominated_subsets(covector_calls):
     base = "x^6 + y^6 + z^6 + x*y*z"  # four undominated points
     dominated = ["x^6*y", "x*y*z^2", "x^2*y^3*z", "y^7*z"]
     facets = compute_polyhedron(parse_polynomial(base)).facets
     for k in range(len(dominated) + 1):
-        calls.clear()
+        covector_calls.clear()
         np_ = compute_polyhedron(parse_polynomial(" + ".join([base] + dominated[:k])))
         assert len(np_.support) == 4 + k
-        assert len(calls) == comb(4, 3)
+        assert len(covector_calls) == comb(4, 3)
         assert np_.facets == facets
     # A diagonal has exactly n points: one subset.
-    calls.clear()
+    covector_calls.clear()
     assert minimal_exponent(parse_polynomial("x^2 + y^3 + z^5 + u^7")) == Fraction(247, 210)
-    assert len(calls) == 1
+    assert len(covector_calls) == 1
+
+
+
+# -- the facet skip: subsets inside a facet with more than n points -----------
+
+
+def _on_and_beyond(a, box):
+    """The points of the box prod [0, box_i] on the hyperplane sum e_i / a_i = 1,
+    as a list, and those on or beyond it, as a set; in integers, with
+    weights L / a_i and level L = lcm(a)."""
+    big = lcm(*a)
+    weights = [big // x for x in a]
+    levels = {e: sum(w * x for w, x in zip(weights, e)) for e in product(*(range(x + 1) for x in box))}
+    return [e for e, v in levels.items() if v == big], {e for e, v in levels.items() if v >= big}
+
+
+def _pure_powers(a):
+    n = len(a)
+    return {tuple(x if j == i else 0 for j in range(n)) for i, x in enumerate(a)}
+
+
+def _weighted_homogeneous_support(rng, n):
+    """Pure powers x_i^{a_i} and mixed points of sum e_i / a_i = 1: one wide facet."""
+    while True:
+        a = [rng.choice((2, 3, 4, 6)) for _ in range(n)]
+        mixed = [e for e in _on_and_beyond(a, a)[0] if sum(1 for x in e if x) > 1]
+        if mixed:
+            return _pure_powers(a) | set(rng.sample(mixed, min(len(mixed), rng.randint(1, 8 - n))))
+
+
+def _two_wide_facets_support(rng, n):
+    """Points on two crossing hyperplanes sum e_i / a_i = 1 and sum e_i / b_i = 1,
+    each on or beyond the other, kept once two compact facets carry more
+    than n of them.  b is a with one entry raised and another lowered."""
+    values = (4, 6, 8, 12) if n == 2 else (2, 3, 4, 6)
+    while True:
+        a = [rng.choice(values) for _ in range(n)]
+        i, j = rng.sample(range(n), 2)
+        up, down = [v for v in values if v > a[i]], [v for v in values if v < a[j]]
+        if not (up and down):
+            continue
+        b = list(a)
+        b[i], b[j] = rng.choice(up), rng.choice(down)
+        box = [max(x, y) for x, y in zip(a, b)]
+        on_a, beyond_a = _on_and_beyond(a, box)
+        on_b, beyond_b = _on_and_beyond(b, box)
+        sides = [[e for e in on_a if e in beyond_b], [e for e in on_b if e in beyond_a]]
+        support = {e for side in sides for e in rng.sample(side, min(len(side), rng.randint(n, n + 1)))}
+        support |= _pure_powers(box)
+        if sum(1 for _, incident in facet_oracle(support) if len(incident) > n) >= 2:
+            return support
+
+
+def _skip_variants(rng, support):
+    """The support, the same with dominated points added, and a non-convenient
+    variant: one pure power dropped, or every point times x_j."""
+    n = len(next(iter(support)))
+    dominated = set(support)
+    for b in rng.sample(sorted(support), min(3, len(support))):
+        d = tuple(rng.randint(0, 2) for _ in range(n))
+        dominated.add(tuple(x + y for x, y in zip(b, d if any(d) else (1,) * n)))
+    j = rng.randrange(n)
+    if rng.random() < 0.5:
+        nonconvenient = {e for e in support if not (e[j] and sum(1 for x in e if x) == 1)}
+    else:
+        nonconvenient = {tuple(x + (i == j) for i, x in enumerate(e)) for e in support}
+    return [support, dominated, nonconvenient]
+
+
+def test_facet_skip_matches_brute_force_oracle(covector_calls):
+    rng = random.Random(1414)
+    supports = []
+    for n in (2, 3, 4):
+        for make in (_weighted_homogeneous_support, _two_wide_facets_support):
+            for _ in range(3):
+                supports += _skip_variants(rng, make(rng, n))
+    solved = subsets = 0
+    for support in supports:
+        before = len(covector_calls)
+        np_ = compute_polyhedron(_polynomial(support))
+        solved += len(covector_calls) - before
+        subsets += comb(len(whideal.newton._undominated(np_.support, np_.n)), np_.n)
+        got = [(facet.covector, facet.incident_points) for facet in np_.facets]
+        assert got == facet_oracle(support), sorted(support)
+        assert np_.vertices == vertex_oracle(support), sorted(support)
+    # The compact facets, before any vertex projection, solved fewer subsets
+    # than there are undominated ones: the skip fired.
+    assert solved < subsets
+
+
+def test_weighted_homogeneous_support_solves_until_its_facet(covector_calls):
+    # Eight undominated points, all of degree 4: C(8, 3) = 56 subsets.  The
+    # first, on the line x = 0, is singular; the second solves to the one
+    # facet, which carries all eight points, so the other 54 are skipped.
+    f = parse_polynomial("x^4 + y^4 + z^4 + x^2*y^2 + y^2*z^2 + x^2*z^2 + x^2*y*z + x*y*z^2")
+    np_ = compute_polyhedron(f)
+    assert len(covector_calls) == 2
+    assert covector_calls[0] == ((0, 0, 4), (0, 2, 2), (0, 4, 0))
+    assert [(facet.covector, len(facet.incident_points)) for facet in np_.facets] == [
+        ((Fraction(1, 4),) * 3, 8)
+    ]
+    assert np_.vertices == {(4, 0, 0), (0, 4, 0), (0, 0, 4)}
+    assert len(covector_calls) == 2  # a convenient support lifts no projection facets
 
 
 # -- vertices -----------------------------------------------------------------
