@@ -65,6 +65,35 @@ def test_parse_syntax_errors():
             parse_polynomial(bad)
 
 
+@pytest.mark.parametrize(
+    "text, variables, message, position",
+    [
+        ("x $ y", None, "unexpected character '$'", 2),
+        ("", None, "empty input", 0),
+        ("  \n", None, "empty input", 0),
+        ("x + *y", None, "expected term, got '*'", 4),
+        ("x +", None, "expected term, got end of input", None),
+        ("-", None, "expected term, got end of input", None),
+        ("x 2", None, "expected '+' or '-', got '2'", 2),
+        ("x^1/2", None, "expected '+' or '-', got '/'", 3),
+        ("2*3", None, "expected variable after '*', got '3'", 2),
+        ("x*", None, "expected variable after '*', got end of input", None),
+        ("1/x", None, "expected denominator, got 'x'", 2),
+        ("1/", None, "expected denominator, got end of input", None),
+        ("x^-1", None, "expected unsigned exponent, got '-'", 2),
+        ("x^", None, "expected unsigned exponent, got end of input", None),
+        ("y + 1/0*x", None, "zero denominator", 6),
+        ("x + t", ("x", "y"), "unknown variable 't'", 4),
+    ],
+)
+def test_parse_error_message_and_position(text, variables, message, position):
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(text, variables)
+    where = "" if position is None else f" (at position {position})"
+    assert str(err.value) == message + where
+    assert err.value.position == position
+
+
 def test_parse_unexpected_character_reports_position():
     with pytest.raises(ParseError, match=r"^unexpected character '\$' \(at position 2\)$") as info:
         parse_polynomial("x $ y")
