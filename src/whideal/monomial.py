@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import groupby
 
 from .errors import ValidationError, require_int
-from .poly import Exponent, as_exponent, divides, grevlex_key
+from .poly import Exponent, as_exponent, divides, grevlex_key, monomial_text
 
 
 class MonomialIdeal:
@@ -58,23 +58,12 @@ class MonomialIdeal:
     def __hash__(self):
         return hash((self.n, self.generators))
 
-    def render(self, names=None) -> str:
+    def render(self) -> str:
         """Display form "(x1^2, x2^2)"; "(0)" and "(1)" for the extremes."""
-        if names is None:
-            names = [f"x{i + 1}" for i in range(self.n)]
-        elif len(names) != self.n:
-            raise ValidationError("wrong number of variable names")
         if self.is_zero:
             return "(0)"
-        parts = []
-        for g in self.generators:
-            factors = [
-                name if k == 1 else f"{name}^{k}"
-                for name, k in zip(names, g)
-                if k
-            ]
-            parts.append("".join(factors) if factors else "1")
-        return "(" + ", ".join(parts) + ")"
+        names = [f"x{i + 1}" for i in range(self.n)]
+        return "(" + ", ".join(monomial_text(g, names, "") or "1" for g in self.generators) + ")"
 
     def to_json(self) -> list[list[int]]:
         return [list(g) for g in self.generators]

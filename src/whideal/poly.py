@@ -12,7 +12,10 @@ with insignificant whitespace.  '*' may optionally separate the coefficient
 and any two factors.  Variable names are maximal runs matching
 [A-Za-z_][A-Za-z0-9_]*, so `xy` is one variable named "xy" while `x*y` and
 `x^1y` are products.  Exponents must be unsigned integers: `x^-1` is a
-syntax error, not an inverse.
+syntax error, not an inverse.  An integer literal that the interpreter will
+not convert (longer than `sys.get_int_max_str_digits()` digits) is a
+ParseError at its position.  `monomial_text` renders a monomial for both
+`Polynomial.__str__` and `MonomialIdeal.render`.
 """
 
 from __future__ import annotations
@@ -182,14 +185,13 @@ class Polynomial:
         return f"Polynomial({self.variables!r}, {self!s})"
 
 
+def monomial_text(exponent: Exponent, names, sep: str) -> str:
+    """x^exponent as `name` and `name^k` factors joined by `sep`; "" for x^0."""
+    return sep.join(name if k == 1 else f"{name}^{k}" for name, k in zip(names, exponent) if k)
+
+
 def _term_text(coeff: Fraction, exponent: Exponent, names) -> str:
-    factors = []
-    for name, k in zip(names, exponent):
-        if k == 1:
-            factors.append(name)
-        elif k > 1:
-            factors.append(f"{name}^{k}")
-    mon = "*".join(factors)
+    mon = monomial_text(exponent, names, "*")
     if not mon:
         return str(coeff)
     if coeff == 1:
@@ -200,111 +202,8 @@ def _term_text(coeff: Fraction, exponent: Exponent, names) -> str:
 
 
 _TOKEN = re.compile(
-    r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[\^*/+\-])"
+    r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[\^*/+\-])|(?P<bad>.)"
 )
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens, known_variables):
-        self.tokens = tokens
-        self.i = 0
-        self.known = known_variables  # None means infer
-        self.order: list[str] = []  # inferred first-appearance order
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, -1)
-
-    def take(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def fail(self, message):
-        kind, value, pos = self.peek()
-        if kind is None:
-            raise ParseError(message + ", got end of input")
-        raise ParseError(f"{message}, got {value!r}", pos)
-
-    def accept(self, symbol):
-        """Take the next token if it is the operator `symbol`."""
-        kind, value, _ = self.peek()
-        if kind == "op" and value == symbol:
-            self.i += 1
-            return True
-        return False
-
-    def accept_star(self):
-        """An optional '*', which must be followed by a variable."""
-        if self.accept("*") and self.peek()[0] != "name":
-            self.fail("expected variable after '*'")
-
-    def parse_uint(self, what):
-        kind, value, pos = self.peek()
-        if kind != "int":
-            self.fail(f"expected {what}")
-        self.take()
-        return int(value)
-
-    def parse_term(self):
-        coeff = Fraction(1)
-        exponents: dict[str, int] = {}
-        start = self.i
-        kind, value, _ = self.peek()
-        if kind == "int":
-            self.take()
-            den = 1
-            if self.accept("/"):
-                den = self.parse_uint("denominator")
-                if den == 0:
-                    raise ParseError("zero denominator", self.tokens[self.i - 1][2])
-            coeff = Fraction(int(value), den)
-            self.accept_star()
-        while self.peek()[0] == "name":
-            kind, name, pos = self.take()
-            if self.known is not None:
-                if name not in self.known:
-                    raise ParseError(f"unknown variable {name!r}", pos)
-            elif name not in self.order:
-                self.order.append(name)
-            power = self.parse_uint("unsigned exponent") if self.accept("^") else 1
-            exponents[name] = exponents.get(name, 0) + power
-            self.accept_star()
-        if self.i == start:
-            self.fail("expected term")
-        return coeff, exponents
-
-    def parse_poly(self):
-        raw_terms = []
-        sign = 1
-        kind, value, _ = self.peek()
-        if kind == "op" and value in "+-":
-            self.take()
-            sign = -1 if value == "-" else 1
-        while True:
-            coeff, exponents = self.parse_term()
-            raw_terms.append((sign * coeff, exponents))
-            kind, value, _ = self.peek()
-            if kind is None:
-                break
-            if kind == "op" and value in "+-":
-                self.take()
-                sign = -1 if value == "-" else 1
-            else:
-                self.fail("expected '+' or '-'")
-        return raw_terms
 
 
 def parse_polynomial(text: str, variables=None) -> Polynomial:
@@ -314,22 +213,74 @@ def parse_polynomial(text: str, variables=None) -> Polynomial:
     result uses exactly that variable order.  Otherwise variables are
     inferred in order of first appearance.
     """
-    if variables is not None:
-        variables = tuple(str(v) for v in variables)
-    tokens = _tokenize(text)
+    tokens = []  # (kind, value, position); an operator is its own kind
+    for m in _TOKEN.finditer(text):
+        kind, value, pos = m.lastgroup, m.group(), m.start()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", pos)
+        if kind == "int":
+            try:
+                value = int(value)
+            except ValueError:  # longer than the interpreter converts
+                raise ParseError(f"integer literal of {len(value)} digits is too long", pos) from None
+        if kind != "ws":
+            tokens.append((value if kind == "op" else kind, value, pos))
     if not tokens:
         raise ParseError("empty input", 0)
-    parser = _Parser(tokens, set(variables) if variables is not None else None)
-    raw_terms = parser.parse_poly()
-    order = variables if variables is not None else tuple(parser.order)
-    index = {name: i for i, name in enumerate(order)}
-    terms = []
-    for coeff, exponents in raw_terms:
-        e = [0] * len(order)
-        for name, power in exponents.items():
-            e[index[name]] = power
-        terms.append((tuple(e), coeff))
-    return Polynomial(order, terms)
+    tokens.append(("end", None, None))
+    names = [] if variables is None else [str(v) for v in variables]
+    terms = []  # (signed coefficient, {name: power})
+    sign, coeff, powers = (-1 if tokens[0][0] == "-" else 1), Fraction(1), {}
+    i = start = int(tokens[0][0] in ("+", "-"))  # start: first token of this term
+    while True:
+        kind, value, pos = tokens[i]
+        if kind == "int" and i == start:
+            coeff = Fraction(value)
+            if tokens[i + 1][0] == "/":
+                i += 2
+                kind, den, pos = tokens[i]
+                if kind != "int":
+                    expected = "expected denominator"
+                    break
+                if den == 0:
+                    raise ParseError("zero denominator", pos)
+                coeff /= den
+            i += 1
+        elif kind == "name":
+            if value not in names:
+                if variables is not None:
+                    raise ParseError(f"unknown variable {value!r}", pos)
+                names.append(value)
+            power = 1
+            if tokens[i + 1][0] == "^":
+                i += 2
+                if tokens[i][0] != "int":
+                    expected = "expected unsigned exponent"
+                    break
+                power = tokens[i][1]
+            powers[value] = powers.get(value, 0) + power
+            i += 1
+        elif kind == "*" and i > start:
+            i += 1
+            if tokens[i][0] != "name":
+                expected = "expected variable after '*'"
+                break
+        elif i == start:
+            expected = "expected term"
+            break
+        elif kind in ("+", "-", "end"):
+            terms.append((sign * coeff, powers))
+            if kind == "end":
+                return Polynomial(names, [(tuple(p.get(v, 0) for v in names), c) for c, p in terms])
+            sign, coeff, powers = (-1 if kind == "-" else 1), Fraction(1), {}
+            i = start = i + 1
+        else:
+            expected = "expected '+' or '-'"
+            break
+    pos = tokens[i][2]
+    # an int token holds its value, so the message re-reads the token's text
+    got = "end of input" if pos is None else repr(_TOKEN.match(text, pos).group())
+    raise ParseError(f"{expected}, got {got}", pos)
 
 
 def jacobian_ideal(f: Polynomial) -> list[Polynomial]:

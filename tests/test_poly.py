@@ -1,10 +1,18 @@
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whideal import ParseError, Polynomial, ValidationError, jacobian_ideal, parse_polynomial
+from whideal import (
+    ParseError,
+    Polynomial,
+    ValidationError,
+    WhidealError,
+    jacobian_ideal,
+    parse_polynomial,
+)
 
 
 def test_parse_basic_two_terms():
@@ -92,6 +100,38 @@ def test_parse_error_message_and_position(text, variables, message, position):
     where = "" if position is None else f" (at position {position})"
     assert str(err.value) == message + where
     assert err.value.position == position
+
+
+LONG = "9" * 5000
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter converts integer literals of any length",
+)
+@pytest.mark.parametrize(
+    "text, position",
+    [(LONG + "*x", 0), ("1/" + LONG + " x", 2), ("x + y^" + LONG, 6)],
+    ids=["coefficient", "denominator", "exponent"],
+)
+def test_overlong_literal_is_a_parse_error(text, position):
+    # int() refuses a literal past the interpreter's digit limit
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(text)
+    assert str(err.value) == f"integer literal of 5000 digits is too long (at position {position})"
+    assert err.value.position == position
+
+
+PIECES = ["x", "y", "xy", "_a", "2", "0", "10", "/", "*", "^", "+", "-", " ", "\n", "$", "é", LONG]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(PIECES), max_size=10), st.sampled_from([None, ("x", "y"), ()]))
+def test_parse_raises_only_library_errors(pieces, variables):
+    try:
+        parse_polynomial("".join(pieces), variables)
+    except WhidealError:
+        pass
 
 
 def test_parse_unexpected_character_reports_position():
