@@ -65,8 +65,10 @@ def _read_text(path: str, what: str) -> str:
 def _read_polynomial(args):
     if args.file is not None:
         text = _read_text(args.file, "polynomial file")
-    else:
+    elif args.polynomial is not None:
         text = args.polynomial
+    else:
+        raise ValidationError("provide polynomial text or --file")
     variables = None
     if args.vars:
         variables = tuple(v.strip() for v in args.vars.split(",") if v.strip())
@@ -300,9 +302,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.func is cmd_analyze and args.polynomial is None and args.file is None:
-        print("error: provide polynomial text or --file", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except ParseError as exc:

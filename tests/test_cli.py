@@ -116,9 +116,18 @@ def test_analyze_unreadable_file(capsys, tmp_path):
 
 
 def test_analyze_missing_input(capsys):
-    code, _, err = run_main(capsys, ["analyze"])
-    assert code == 2
-    assert "provide polynomial text or --file" in err
+    for argv in (["analyze"], ["analyze", "--json", "--vars", "x,y"]):
+        assert run_main(capsys, argv) == (2, "", "error: provide polynomial text or --file\n")
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter converts integer literals of any length",
+)
+def test_analyze_overlong_literal_is_a_parse_error(capsys):
+    code, out, err = run_main(capsys, ["analyze", "x^" + "9" * 5000 + " + y^2"])
+    assert (code, out) == (1, "")
+    assert err == "parse error: integer literal of 5000 digits is too long (at position 2)\n"
 
 
 def test_analyze_parse_error_exit(capsys):
