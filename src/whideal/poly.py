@@ -213,6 +213,7 @@ def parse_polynomial(text: str, variables=None) -> Polynomial:
     result uses exactly that variable order.  Otherwise variables are
     inferred in order of first appearance.
     """
+    names = [] if variables is None else [str(v) for v in variables]
     tokens = []  # (kind, value, position); an operator is its own kind
     for m in _TOKEN.finditer(text):
         kind, value, pos = m.lastgroup, m.group(), m.start()
@@ -228,7 +229,6 @@ def parse_polynomial(text: str, variables=None) -> Polynomial:
     if not tokens:
         raise ParseError("empty input", 0)
     tokens.append(("end", None, None))
-    names = [] if variables is None else [str(v) for v in variables]
     terms = []  # (signed coefficient, {name: power})
     sign, coeff, powers = (-1 if tokens[0][0] == "-" else 1), Fraction(1), {}
     i = start = int(tokens[0][0] in ("+", "-"))  # start: first token of this term
