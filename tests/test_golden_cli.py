@@ -44,8 +44,9 @@ FILES = {
     "bad.txt": "x^2 + + y\n",
     "latin1.txt": b"x^2 + y^3 \xff\n",
     "t5.json": {"n": 5, "middle": [[1, 1, 1], [0, 2, 2]], "top": []},
-    "t4.json": {"n": 4, "middle": [[0, 2, 1], [1, 1, 3], [2, 0, 1]], "top": [[2, 1, 2], [3, 1, 1]]},
-    "t2.json": {"n": 2, "middle": [[0, 0, 1]], "top": [[1, 1, 1]]},
+    "t4.json": {"n": 4, "middle": [[0, 2, 1], [1, 1, 3], [2, 0, 1], [0, 1, 2], [1, 0, 2]], "top": [[2, 2, 1]]},
+    "t4_negative.json": {"n": 4, "middle": [[1, 1, 1]], "top": [[2, 2, 2]]},
+    "t2.json": {"n": 2, "middle": [[0, 0, 1]], "top": [[0, 0, 1]]},
     "list.json": [1, 2],
     "no_n.json": {"middle": []},
     "n_str.json": {"n": "4"},
@@ -60,8 +61,8 @@ FILES = {
     "not_json.json": "{not json",
     "latin1.json": b'{"n": 2, "name": "\xff"}',
 }
-VALID_TABLES = ("t5.json", "t4.json", "t2.json")
-INVALID_TABLES = [name for name in FILES if name.endswith(".json") and name not in VALID_TABLES]
+TABLES = ("t5.json", "t4.json", "t4_negative.json", "t2.json")
+BAD_TABLES = [name for name in FILES if name.endswith(".json") and name not in TABLES]
 
 
 def cases():
@@ -91,11 +92,11 @@ def cases():
                 out.append(["bounds", "--n", str(n), "--d", str(d), "--p", str(p)])
             for l in range(-1, 4):
                 out.append(["bounds", "--n", str(n), "--d", str(d), "--p", "1", "--l", str(l), "--json"])
-    for table in VALID_TABLES:
+    for table in TABLES:
         for l in range(1, 5):
             out += [["dims", "--table", table, "--l", str(l), "--p", str(p)] for p in range(-1, 4)]
             out.append(["dims", "--table", table, "--l", str(l), "--p", "0", "--json"])
-    for table in [*INVALID_TABLES, "absent.json"]:
+    for table in [*BAD_TABLES, "absent.json"]:
         out.append(["dims", "--table", table, "--l", "3", "--p", "1"])
     for table in ("t5.json", "t4.json"):
         for push in (("5", "1"), ("3", "3"), ("3", "4"), ("3", "-1"), ("0", "1"), ("2", "0")):
