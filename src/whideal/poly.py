@@ -230,7 +230,8 @@ def parse_polynomial(text: str, variables=None) -> Polynomial:
         raise ParseError("empty input", 0)
     tokens.append(("end", None, None))
     terms = []  # (signed coefficient, {name: power})
-    sign, coeff, powers = (-1 if tokens[0][0] == "-" else 1), Fraction(1), {}
+    sign = -1 if tokens[0][0] == "-" else 1
+    coeff, powers = Fraction(1), {}
     i = start = int(tokens[0][0] in ("+", "-"))  # start: first token of this term
     while True:
         kind, value, pos = tokens[i]
