@@ -1,8 +1,12 @@
 """Command-line front end.
 
-Subcommands: analyze | snc | bounds | dims | verify.  Exit codes: 0 ok,
-1 polynomial parse error, 2 precondition or validation failure, 3 size
-guard exceeded.  Set WHIDEAL_NO_COLOR to suppress ANSI styling.
+Subcommands: analyze | snc | bounds | dims | verify.  Each computes one
+result before anything is printed: its exit code, its JSON payload and the
+text lines that render it.  `main` prints the payload under --json and the
+lines otherwise.  Exit codes: 0 ok, 1 polynomial parse error, 2
+precondition or validation failure, 3 size guard exceeded.  If the reader
+closes the pipe, the exit code stays the command's and nothing goes to
+stderr.  Set WHIDEAL_NO_COLOR to suppress ANSI styling.
 """
 
 from __future__ import annotations
@@ -26,32 +30,23 @@ from .poly import fraction_text, parse_polynomial
 from .snc import SncModel, hodge_ideal_snc, verify_snc_theorems, weighted_hodge_ideal_snc
 
 
-def _color_enabled() -> bool:
-    return sys.stdout.isatty() and not os.environ.get("WHIDEAL_NO_COLOR")
-
-
 def _style(text: str, code: str) -> str:
-    if _color_enabled():
+    if sys.stdout.isatty() and not os.environ.get("WHIDEAL_NO_COLOR"):
         return f"\x1b[{code}m{text}\x1b[0m"
     return text
 
 
-def _pass_fail(ok: bool) -> str:
-    return _style("PASS", "32") if ok else _style("FAIL", "31")
-
-
-def _print_checks(runs, show_model: bool):
+def _check_lines(runs, show_model: bool) -> list[str]:
     """One `PASS|FAIL name [n= r= ]p= [l=]` line per check, then a verdict."""
+    lines = []
     for v in runs:
         model = f"n={v.model.n} r={v.model.r} " if show_model else ""
         for check in v.checks:
             where = model + f"p={check.p}" + ("" if check.l is None else f" l={check.l}")
-            print(f"{_pass_fail(check.passed)} {check.name} {where}")
-    print("all checks passed" if all(v.all_passed for v in runs) else "some checks FAILED")
-
-
-def _emit_json(payload: dict):
-    print(json.dumps(payload, indent=2))
+            verdict = _style("PASS", "32") if check.passed else _style("FAIL", "31")
+            lines.append(f"{verdict} {check.name} {where}")
+    lines.append("all checks passed" if all(v.all_passed for v in runs) else "some checks FAILED")
+    return lines
 
 
 def _read_text(path: str, what: str) -> str:
@@ -69,13 +64,15 @@ def _read_polynomial(args):
         text = args.polynomial
     else:
         raise ValidationError("provide polynomial text or --file")
-    variables = None
-    if args.vars:
-        variables = tuple(v.strip() for v in args.vars.split(",") if v.strip())
+    variables = tuple(v.strip() for v in args.vars.split(",") if v.strip()) if args.vars else None
     return parse_polynomial(text, variables)
 
 
-def cmd_analyze(args) -> int:
+def _yes_no(triviality: dict) -> str:
+    return " ".join(f"p={p}:{'yes' if v else 'no'}" for p, v in sorted(triviality.items()))
+
+
+def cmd_analyze(args) -> tuple[int, dict, list[str]]:
     f = _read_polynomial(args)
     report = classify(f, allow_nonconvenient=args.allow_nonconvenient)
     if args.witness is not None:
@@ -88,109 +85,91 @@ def cmd_analyze(args) -> int:
         report = report.with_notes(
             [witness_annotation(f, m, p, outside, report.nilpotency_upper)]
         )
-    if args.json:
-        _emit_json(report.to_json_dict())
-        return 0
-    print(_style("singularity report", "1"))
-    print(f"  variables: {', '.join(report.variables)}")
-    print(f"  minimal exponent: {report.minimal_exponent}")
-    print(f"  p level: {'-' if report.p_level is None else report.p_level}")
-    print(f"  minimizing facets r: {report.r}")
-    print(f"  diagonal face dim s: {'-' if report.s is None else report.s}")
-    print(f"  simplicial: {'yes' if report.simplicial else 'no'}")
-    nilp = "-" if report.nilpotency_upper is None else report.nilpotency_upper
-    print(f"  weight nilpotency bound: {nilp}")
-    hodge = " ".join(
-        f"p={p}:{'yes' if v else 'no'}" for p, v in sorted(report.hodge_triviality.items())
-    )
-    w1 = " ".join(
-        f"p={p}:{'yes' if v else 'no'}" for p, v in sorted(report.w1_triviality.items())
-    )
-    print(f"  hodge ideal trivial: {hodge}")
-    print(f"  w1 ideal trivial: {w1}")
-    if report.type_range is None:
-        print("  type range: -")
-    else:
-        print("  type range: " + ", ".join(f"({a},{b})" for a, b in report.type_range))
-    if report.exact_type is None:
-        print("  exact type: undetermined")
-    else:
-        print(f"  exact type: ({report.exact_type[0]},{report.exact_type[1]})")
-    print("  compact facets:")
+    nilp = report.nilpotency_upper
+    types = report.type_range
+    exact = report.exact_type
+    lines = [
+        _style("singularity report", "1"),
+        f"  variables: {', '.join(report.variables)}",
+        f"  minimal exponent: {report.minimal_exponent}",
+        f"  p level: {'-' if report.p_level is None else report.p_level}",
+        f"  minimizing facets r: {report.r}",
+        f"  diagonal face dim s: {'-' if report.s is None else report.s}",
+        f"  simplicial: {'yes' if report.simplicial else 'no'}",
+        f"  weight nilpotency bound: {'-' if nilp is None else nilp}",
+        f"  hodge ideal trivial: {_yes_no(report.hodge_triviality)}",
+        f"  w1 ideal trivial: {_yes_no(report.w1_triviality)}",
+        "  type range: " + ("-" if types is None else ", ".join(f"({a},{b})" for a, b in types)),
+        "  exact type: " + ("undetermined" if exact is None else f"({exact[0]},{exact[1]})"),
+        "  compact facets:",
+    ]
     for facet in report.polyhedron.facets:
         cov = ", ".join(fraction_text(b) for b in facet.covector)
         pts = " ".join("(" + ",".join(str(x) for x in pt) + ")" for pt in facet.incident_points)
-        print(f"    B = ({cov})  incident: {pts}")
-    print("  notes:")
-    for note in report.notes:
-        print(f"    - {note}")
-    return 0
+        lines.append(f"    B = ({cov})  incident: {pts}")
+    lines.append("  notes:")
+    lines += [f"    - {note}" for note in report.notes]
+    return 0, report.to_json_dict(), lines
 
 
-def cmd_snc(args) -> int:
+def cmd_snc(args) -> tuple[int, dict, list[str]]:
     model = SncModel(args.n, args.r)
     if args.l is None:
         ideal = hodge_ideal_snc(model, args.p)
     else:
         ideal = weighted_hodge_ideal_snc(model, args.p, args.l)
-    verification = verify_snc_theorems(model, args.p) if args.verify else None
-    if args.json:
-        payload = {
-            "schema": "whideal-snc/1",
-            "n": args.n,
-            "r": args.r,
-            "p": args.p,
-            "l": args.l,
-            "generators": ideal.to_json(),
-            "rendered": ideal.render(),
-        }
-        if verification is not None:
-            payload["verification"] = verification.to_json_dict()
-        _emit_json(payload)
-    else:
-        print(ideal.render())
-        if verification is not None:
-            _print_checks([verification], show_model=False)
-    if verification is not None and not verification.all_passed:
-        return 2
-    return 0
+    payload = {
+        "schema": "whideal-snc/1",
+        "n": args.n,
+        "r": args.r,
+        "p": args.p,
+        "l": args.l,
+        "generators": ideal.to_json(),
+        "rendered": ideal.render(),
+    }
+    lines = [payload["rendered"]]
+    if not args.verify:
+        return 0, payload, lines
+    verification = verify_snc_theorems(model, args.p)
+    payload["verification"] = verification.to_json_dict()
+    lines += _check_lines([verification], show_model=False)
+    return (0 if verification.all_passed else 2), payload, lines
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> tuple[int, dict, list[str]]:
     z2, z = projective_bounds(args.n, args.d, args.p)
-    threshold = None
+    payload = {
+        "schema": "whideal-bounds/1",
+        "n": args.n,
+        "d": args.d,
+        "p": args.p,
+        "bound_w2_points": z2,
+        "bound_singular_points": z,
+    }
+    lines = [f"points with nontrivial W_2 piece <= {z2}", f"singular points <= {z}"]
     if args.l is not None:
         threshold = surjectivity_threshold(args.n, args.d, args.p, args.l)
-    if args.json:
-        payload = {
-            "schema": "whideal-bounds/1",
-            "n": args.n,
-            "d": args.d,
-            "p": args.p,
-            "bound_w2_points": z2,
-            "bound_singular_points": z,
-        }
-        if threshold is not None:
-            payload["l"] = args.l
-            payload["surjectivity_threshold"] = threshold
-        _emit_json(payload)
-    else:
-        print(f"points with nontrivial W_2 piece <= {z2}")
-        print(f"singular points <= {z}")
-        if threshold is not None:
-            print(f"surjectivity threshold (l={args.l}): k >= {threshold}")
-    return 0
+        payload["l"] = args.l
+        payload["surjectivity_threshold"] = threshold
+        lines.append(f"surjectivity threshold (l={args.l}): k >= {threshold}")
+    return 0, payload, lines
 
 
-def cmd_dims(args) -> int:
-    text = _read_text(args.table, "table")
+def cmd_dims(args) -> tuple[int, dict, list[str]]:
     try:
-        data = json.loads(text)
+        data = json.loads(_read_text(args.table, "table"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"cannot read table {args.table!r}: {exc}") from exc
     table = HodgeNumberTable.from_json_dict(data)
     value = graded_piece_dim(table, args.l, args.p)
-    pushforward = None
+    payload = {
+        "schema": "whideal-dims/1",
+        "n": table.n,
+        "l": args.l,
+        "p": args.p,
+        "graded_piece_dim": value,
+    }
+    lines = [f"dim Gr_F^(n-p) at l={args.l}, p={args.p}: {value}"]
     if args.pushforward is not None:
         amb_n, push_p = args.pushforward
         # P also indexes the graded pieces, so check it here, under its own
@@ -201,44 +180,24 @@ def cmd_dims(args) -> int:
             raise ValidationError(f"need --pushforward P <= n-2, got P={push_p}, n={table.n}")
         d = {r: graded_piece_dim(table, args.l, r) for r in range(push_p + 1)}
         pushforward = pushforward_filtration_dim(d, push_p, amb_n)
-    if args.json:
-        payload = {
-            "schema": "whideal-dims/1",
-            "n": table.n,
-            "l": args.l,
-            "p": args.p,
-            "graded_piece_dim": value,
-        }
-        if pushforward is not None:
-            payload["pushforward_dim"] = pushforward
-        _emit_json(payload)
-    else:
-        print(f"dim Gr_F^(n-p) at l={args.l}, p={args.p}: {value}")
-        if pushforward is not None:
-            print(f"dim F_p pushforward (n={args.pushforward[0]}, p={args.pushforward[1]}): {pushforward}")
-    return 0
+        payload["pushforward_dim"] = pushforward
+        lines.append(f"dim F_p pushforward (n={amb_n}, p={push_p}): {pushforward}")
+    return 0, payload, lines
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, dict, list[str]]:
     require_int("n", args.n, 1)
     r_values = [args.r] if args.r is not None else list(range(1, args.n + 1))
-    results = []
-    for r in r_values:
-        results.append(verify_snc_theorems(SncModel(args.n, r), args.p_max))
+    results = [verify_snc_theorems(SncModel(args.n, r), args.p_max) for r in r_values]
     all_ok = all(v.all_passed for v in results)
-    if args.json:
-        _emit_json(
-            {
-                "schema": "whideal-verify/1",
-                "n": args.n,
-                "p_max": args.p_max,
-                "runs": [v.to_json_dict() for v in results],
-                "all_passed": all_ok,
-            }
-        )
-    else:
-        _print_checks(results, show_model=True)
-    return 0 if all_ok else 2
+    payload = {
+        "schema": "whideal-verify/1",
+        "n": args.n,
+        "p_max": args.p_max,
+        "runs": [v.to_json_dict() for v in results],
+        "all_passed": all_ok,
+    }
+    return (0 if all_ok else 2), payload, _check_lines(results, show_model=True)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -256,7 +215,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--witness", help="monomial to test against the Jacobian ideal")
     p_an.add_argument("--groebner-limit", type=int, default=None, metavar="N",
                       help="lift the membership size guard to N")
-    p_an.add_argument("--json", action="store_true")
     p_an.set_defaults(func=cmd_analyze)
 
     p_snc = sub.add_parser("snc", help="Hodge ideals of a normal-crossings model")
@@ -266,7 +224,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_snc.add_argument("--l", type=int, default=None)
     p_snc.add_argument("--verify", action="store_true",
                        help="also run the structural checks up to p")
-    p_snc.add_argument("--json", action="store_true")
     p_snc.set_defaults(func=cmd_snc)
 
     p_b = sub.add_parser("bounds", help="projective point-count bounds")
@@ -274,7 +231,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_b.add_argument("--d", type=int, required=True)
     p_b.add_argument("--p", type=int, required=True)
     p_b.add_argument("--l", type=int, default=None)
-    p_b.add_argument("--json", action="store_true")
     p_b.set_defaults(func=cmd_bounds)
 
     p_d = sub.add_parser("dims", help="graded dimensions from a Hodge number table")
@@ -283,16 +239,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_d.add_argument("--p", type=int, required=True)
     p_d.add_argument("--pushforward", type=int, nargs=2, metavar=("N", "P"),
                      help="also compute the pushforward filtration dimension")
-    p_d.add_argument("--json", action="store_true")
     p_d.set_defaults(func=cmd_dims)
 
     p_v = sub.add_parser("verify", help="structural checks for normal-crossings models")
     p_v.add_argument("--n", type=int, required=True)
     p_v.add_argument("--r", type=int, default=None)
     p_v.add_argument("--p-max", type=int, default=2)
-    p_v.add_argument("--json", action="store_true")
     p_v.set_defaults(func=cmd_verify)
 
+    # main prints every result as text or as JSON, so every subcommand
+    # takes --json; it comes last in each help listing.
+    for command in sub.choices.values():
+        command.add_argument("--json", action="store_true")
     return parser
 
 
@@ -303,7 +261,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code, payload, lines = args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
@@ -313,6 +271,14 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        print(json.dumps(payload, indent=2) if args.json else "\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone.  Send what is still buffered to devnull, so the
+        # flush at interpreter exit stays quiet, and keep the exit code.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

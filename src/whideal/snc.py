@@ -10,6 +10,14 @@ coordinates, so everything here is exact combinatorics:
   I_p^{W_0}(D)  = ( (x_1 ... x_r)^{p+1} )
   I_p^{W_l}(D)  = I_p(D)                                  for l >= r
 
+For 1 <= l <= r the entries a_i <= p add up to p(l-1), so the deficits
+p - a_i add up to p; conversely, deficits >= 0 that add up to p give
+entries in [0, p].  Each generator is therefore
+
+  x_I^{p+1} / (x_J * mu),   mu a monomial of degree p in x_J,
+
+one for each J and each multiset of p indices of J.
+
 The weight filtration is increasing in l and stabilizes at l = r.  At
 l = r the only subset is J = I and the second formula is the first, so
 I_p(D) is computed as the piece I_p^{W_r}(D), by the one generator loop.
@@ -20,7 +28,7 @@ min(l, r)) and w0-principal (the l = 0 branch) hold by construction.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from .errors import ValidationError, require_int
 from .monomial import MonomialIdeal
@@ -36,19 +44,6 @@ class SncModel:
             raise ValidationError(f"need 1 <= r <= n, got r={r}, n={n}")
         self.n = n
         self.r = r
-
-
-def _bounded_compositions(total: int, parts: int, bound: int):
-    """All tuples of `parts` ints in [0, bound] summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    lo = max(0, total - (parts - 1) * bound)
-    hi = min(bound, total)
-    for first in range(lo, hi + 1):
-        for rest in _bounded_compositions(total - first, parts - 1, bound):
-            yield (first,) + rest
 
 
 def hodge_ideal_snc(model: SncModel, p: int) -> MonomialIdeal:
@@ -67,10 +62,13 @@ def weighted_hodge_ideal_snc(model: SncModel, p: int, l: int) -> MonomialIdeal:
     l = min(l, r)
     gens = []
     for subset in combinations(range(r), l):
-        for a in _bounded_compositions(p * (l - 1), l, p):
+        # x_I^{p+1} / (x_J * mu), mu a degree-p monomial in x_J
+        for mu in combinations_with_replacement(subset, p):
             e = base.copy()
-            for i, ai in zip(subset, a):
-                e[i] = ai
+            for i in subset:
+                e[i] = p
+            for i in mu:
+                e[i] -= 1
             gens.append(tuple(e))
     return MonomialIdeal(n, gens)
 

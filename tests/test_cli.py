@@ -1,7 +1,10 @@
 """Command-line surface: frozen text output, JSON payloads, exit codes."""
 
+import contextlib
+import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -389,6 +392,94 @@ def test_color_gating(monkeypatch):
     assert cli._style("ok", "32") == "ok"
 
 
+class TtyBuffer(io.StringIO):
+    def isatty(self):
+        return True
+
+
+PASS = "\x1b[32mPASS\x1b[0m"
+
+# The exact bytes a terminal receives.  The checks of a model for p <= 1
+# come in verify_snc_theorems' order; `verify` names the model on each line.
+STYLED_OUTPUT = {
+    ("analyze", "x^2 + y^3"): (
+        "\x1b[1msingularity report\x1b[0m\n"
+        "  variables: x, y\n"
+        "  minimal exponent: 5/6\n"
+        "  p level: -\n"
+        "  minimizing facets r: 1\n"
+        "  diagonal face dim s: -\n"
+        "  simplicial: yes\n"
+        "  weight nilpotency bound: -\n"
+        "  hodge ideal trivial: p=0:no p=1:no p=2:no p=3:no\n"
+        "  w1 ideal trivial: p=0:no p=1:no p=2:no p=3:no\n"
+        "  type range: -\n"
+        "  exact type: undetermined\n"
+        "  compact facets:\n"
+        "    B = (1/2, 1/3)  incident: (0,3) (2,0)\n"
+        "  notes:\n"
+        "    - assumed: isolated singularity at the origin and nondegenerate "
+        "Newton boundary (asserted, not verified)\n"
+    ),
+    ("snc", "--n", "2", "--r", "2", "--p", "1", "--verify"): (
+        "(x1, x2)\n"
+        f"{PASS} chain p=0 l=0\n"
+        f"{PASS} chain p=0 l=1\n"
+        f"{PASS} chain p=0 l=2\n"
+        f"{PASS} stabilization p=0 l=2\n"
+        f"{PASS} w0-principal p=0 l=0\n"
+        f"{PASS} chain p=1 l=0\n"
+        f"{PASS} chain p=1 l=1\n"
+        f"{PASS} chain p=1 l=2\n"
+        f"{PASS} stabilization p=1 l=2\n"
+        f"{PASS} w0-principal p=1 l=0\n"
+        f"{PASS} adjoint-containment p=1\n"
+        "all checks passed\n"
+    ),
+    ("verify", "--n", "2", "--p-max", "1"): (
+        f"{PASS} chain n=2 r=1 p=0 l=0\n"
+        f"{PASS} chain n=2 r=1 p=0 l=1\n"
+        f"{PASS} chain n=2 r=1 p=0 l=2\n"
+        f"{PASS} stabilization n=2 r=1 p=0 l=1\n"
+        f"{PASS} stabilization n=2 r=1 p=0 l=2\n"
+        f"{PASS} w0-principal n=2 r=1 p=0 l=0\n"
+        f"{PASS} chain n=2 r=1 p=1 l=0\n"
+        f"{PASS} chain n=2 r=1 p=1 l=1\n"
+        f"{PASS} chain n=2 r=1 p=1 l=2\n"
+        f"{PASS} stabilization n=2 r=1 p=1 l=1\n"
+        f"{PASS} stabilization n=2 r=1 p=1 l=2\n"
+        f"{PASS} w0-principal n=2 r=1 p=1 l=0\n"
+        f"{PASS} adjoint-containment n=2 r=1 p=1\n"
+        f"{PASS} chain n=2 r=2 p=0 l=0\n"
+        f"{PASS} chain n=2 r=2 p=0 l=1\n"
+        f"{PASS} chain n=2 r=2 p=0 l=2\n"
+        f"{PASS} stabilization n=2 r=2 p=0 l=2\n"
+        f"{PASS} w0-principal n=2 r=2 p=0 l=0\n"
+        f"{PASS} chain n=2 r=2 p=1 l=0\n"
+        f"{PASS} chain n=2 r=2 p=1 l=1\n"
+        f"{PASS} chain n=2 r=2 p=1 l=2\n"
+        f"{PASS} stabilization n=2 r=2 p=1 l=2\n"
+        f"{PASS} w0-principal n=2 r=2 p=1 l=0\n"
+        f"{PASS} adjoint-containment n=2 r=2 p=1\n"
+        "all checks passed\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(STYLED_OUTPUT), ids=lambda argv: argv[0])
+def test_styled_output_on_a_terminal(monkeypatch, argv):
+    styled = STYLED_OUTPUT[argv]
+    for no_color, expected in ((None, styled), ("1", re.sub(r"\x1b\[\d+m", "", styled))):
+        if no_color is None:
+            monkeypatch.delenv("WHIDEAL_NO_COLOR", raising=False)
+        else:
+            monkeypatch.setenv("WHIDEAL_NO_COLOR", no_color)
+        tty = TtyBuffer()
+        with contextlib.redirect_stdout(tty):
+            code = main(list(argv))
+        assert (code, tty.getvalue()) == (0, expected)
+
+
 def test_piped_output_is_plain(capsys):
     out = run_main(capsys, ["snc", "--n", "2", "--r", "1", "--p", "0", "--verify"])[1]
     assert "\x1b[" not in out
@@ -489,3 +580,26 @@ def test_process_exit_codes():
     assert run_process(["analyze", "x*y"]).returncode == 2
     nine = " + ".join(f"x{i}^2" for i in range(1, 10))
     assert run_process(["analyze", nine, "--witness", "x1"]).returncode == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--n", "2", "--p-max", "1"], ["bounds", "--n", "2", "--d", "3", "--p", "0", "--json"]],
+    ids=["text", "json"],
+)
+def test_closed_pipe_keeps_the_exit_code(argv):
+    # The read end is closed before the child starts, so its first write
+    # meets a pipe with no reader.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "whideal", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            timeout=60,
+            env=child_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
