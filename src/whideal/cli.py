@@ -57,6 +57,16 @@ def _read_text(path: str, what: str) -> str:
         raise ValidationError(f"cannot read {what} {path!r}: {exc}") from exc
 
 
+def _check_digits(**values: int) -> None:
+    """ValidationError naming the first value too long to print as decimal text."""
+    for name, value in values.items():
+        try:
+            str(value)
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            raise ValidationError(f"{name} exceeds {limit} digits, the interpreter's limit") from None
+
+
 def _read_polynomial(args):
     if args.file is not None:
         text = _read_text(args.file, "polynomial file")
@@ -138,6 +148,7 @@ def cmd_snc(args) -> tuple[int, dict, list[str]]:
 
 def cmd_bounds(args) -> tuple[int, dict, list[str]]:
     z2, z = projective_bounds(args.n, args.d, args.p)
+    _check_digits(bound_w2_points=z2, bound_singular_points=z)
     payload = {
         "schema": "whideal-bounds/1",
         "n": args.n,
@@ -158,7 +169,7 @@ def cmd_bounds(args) -> tuple[int, dict, list[str]]:
 def cmd_dims(args) -> tuple[int, dict, list[str]]:
     try:
         data = json.loads(_read_text(args.table, "table"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer past the digit limit
         raise ValidationError(f"cannot read table {args.table!r}: {exc}") from exc
     table = HodgeNumberTable.from_json_dict(data)
     value = graded_piece_dim(table, args.l, args.p)
@@ -180,6 +191,7 @@ def cmd_dims(args) -> tuple[int, dict, list[str]]:
             raise ValidationError(f"need --pushforward P <= n-2, got P={push_p}, n={table.n}")
         d = {r: graded_piece_dim(table, args.l, r) for r in range(push_p + 1)}
         pushforward = pushforward_filtration_dim(d, push_p, amb_n)
+        _check_digits(pushforward_dim=pushforward)
         payload["pushforward_dim"] = pushforward
         lines.append(f"dim F_p pushforward (n={amb_n}, p={push_p}): {pushforward}")
     return 0, payload, lines

@@ -1,8 +1,11 @@
-"""Buchberger-based ideal membership over Q, graded reverse lex order.
+"""Groebner bases and ideal membership over Q, graded reverse lex order.
 
-Deliberately desk scale: a size guard refuses instances that exact dense
-elimination is not meant for, and the guard is only lifted explicitly, by
-the `limit` keyword, which never lowers it.
+`_normal_form` is the one reduction: Buchberger reduces S-polynomials with
+it, membership is a zero normal form, and the reduced basis is x^m - NF(x^m)
+over the minimal leads x^m (Cox, Little and O'Shea, "Ideals, Varieties, and
+Algorithms", ch. 2 section 7).  The size guard of `ideal_membership` bounds
+the input only, by variables and generator terms, not Buchberger's work;
+`groebner_basis` has no guard at all.
 """
 
 from __future__ import annotations
@@ -57,18 +60,18 @@ def _normal_form(f: dict, basis: list[tuple]) -> dict:
     return remainder
 
 
-def _buchberger(gens: list[dict]) -> list[dict]:
-    basis = [dict(g) for g in gens if g]
+def _buchberger(gens: list[dict]) -> list[tuple]:
+    """A Groebner basis of (gens), as the (lead, terms) pairs `_normal_form` takes."""
+    basis = [(_lead(g), g) for g in gens if g]
     pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-    leads = [_lead(g) for g in basis]
 
     def chain_criterion(i, j, lcm_ij):
         # Skip (i,j) if some k has lead dividing lcm and both companion
         # pairs were already handled.
-        for k in range(len(basis)):
+        for k, (lead, _) in enumerate(basis):
             if k in (i, j):
                 continue
-            if divides(leads[k], lcm_ij):
+            if divides(lead, lcm_ij):
                 a = (min(i, k), max(i, k))
                 b = (min(j, k), max(j, k))
                 if a not in pairs and b not in pairs:
@@ -76,45 +79,24 @@ def _buchberger(gens: list[dict]) -> list[dict]:
         return False
 
     while pairs:
-        i, j = min(pairs, key=lambda p: (grevlex_key(_lcm(leads[p[0]], leads[p[1]])), p))
+        i, j = min(pairs, key=lambda p: (grevlex_key(_lcm(basis[p[0]][0], basis[p[1]][0])), p))
         pairs.discard((i, j))
-        li, lj = leads[i], leads[j]
+        (li, fi), (lj, fj) = basis[i], basis[j]
         lcm_ij = _lcm(li, lj)
         if lcm_ij == tuple(a + b for a, b in zip(li, lj)):
             continue  # coprime leads: S-polynomial reduces to zero
         if chain_criterion(i, j, lcm_ij):
             continue
-        fi, fj = basis[i], basis[j]
         # S = x^(lcm - li) fi / lc(fi) - x^(lcm - lj) fj / lc(fj)
         s: dict = {}
         _subtract_multiple(s, fi, tuple(a - b for a, b in zip(lcm_ij, li)), -1 / fi[li])
         _subtract_multiple(s, fj, tuple(a - b for a, b in zip(lcm_ij, lj)), 1 / fj[lj])
-        s = _normal_form(s, list(zip(leads, basis)))
+        s = _normal_form(s, basis)
         if s:
-            basis.append(s)
-            leads.append(_lead(s))
+            basis.append((_lead(s), s))
             new = len(basis) - 1
             pairs.update((k, new) for k in range(new))
     return basis
-
-
-def _reduce_basis(basis: list[dict]) -> list[dict]:
-    # Minimalize: one element per distinct lead (the reduced basis is
-    # unique, so which one does not matter), and of the leads only the
-    # minimal generators of the lead ideal, in descending order.
-    by_lead: dict[tuple, dict] = {}
-    for g in basis:
-        by_lead.setdefault(_lead(g), g)
-    n = len(next(iter(by_lead)))
-    leads = MonomialIdeal(n, by_lead).generators if n else tuple(by_lead)
-    kept = [(lead, by_lead[lead]) for lead in leads]
-    # Fully reduce tails and normalize to monic; no lead changes, so the
-    # descending order stays.
-    reduced = []
-    for i, (lead, g) in enumerate(kept):
-        nf = _normal_form(g, kept[:i] + kept[i + 1 :])
-        reduced.append({e: c / nf[lead] for e, c in nf.items()})
-    return reduced
 
 
 def groebner_basis(generators: list[Polynomial]) -> list[Polynomial]:
@@ -126,8 +108,15 @@ def groebner_basis(generators: list[Polynomial]) -> list[Polynomial]:
     for g in gens:
         if g.variables != variables:
             raise ValidationError("generators must share one variable list")
-    basis = _reduce_basis(_buchberger([g.terms for g in gens]))
-    return [Polynomial(variables, terms) for terms in basis]
+    basis = _buchberger([g.terms for g in gens])
+    leads = {lead for lead, _ in basis}
+    if variables:  # without variables the one lead is (), the unit ideal
+        leads = MonomialIdeal(len(variables), leads).generators
+    reduced = []
+    for m in leads:
+        tail = _normal_form({m: 1}, basis)
+        reduced.append(Polynomial(variables, {m: 1, **{e: -c for e, c in tail.items()}}))
+    return reduced
 
 
 def ideal_membership(
@@ -163,6 +152,4 @@ def ideal_membership(
         raise SizeGuardError(
             f"{total_terms} generator terms exceed the limit of {term_limit}"
         )
-    basis = _buchberger([h.terms for h in gens])
-    pairs = [(_lead(b), b) for b in basis]
-    return not _normal_form(g.terms, pairs)
+    return not _normal_form(g.terms, _buchberger([h.terms for h in gens]))

@@ -133,6 +133,29 @@ def test_analyze_overlong_literal_is_a_parse_error(capsys):
     assert err == "parse error: integer literal of 5000 digits is too long (at position 2)\n"
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter converts integers of any length",
+)
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_integers_past_the_digit_limit_exit_two(capsys, tmp_path, extra):
+    limit = sys.get_int_max_str_digits()
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"n": 5, "middle": [[0, 3, 1]]}), encoding="utf-8")
+    for argv, name in [
+        (["bounds", "--n", "5000", "--d", "20000", "--p", "0"], "bound_w2_points"),
+        (["dims", "--table", str(table), "--l", "2", "--p", "0", "--pushforward", "9" * 2200, "2"],
+         "pushforward_dim"),
+    ]:
+        message = f"error: {name} exceeds {limit} digits, the interpreter's limit\n"
+        assert run_main(capsys, argv + extra) == (2, "", message)
+    # an integer past the limit inside the table is a table that cannot be read
+    table.write_text('{"n": 5, "middle": [[0, 3, ' + "9" * 5000 + "]]}", encoding="utf-8")
+    code, out, err = run_main(capsys, ["dims", "--table", str(table), "--l", "2", "--p", "0", *extra])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read table {str(table)!r}: ") and err.count("\n") == 1
+
+
 def test_analyze_parse_error_exit(capsys):
     code, _, err = run_main(capsys, ["analyze", "x^-1"])
     assert code == 1

@@ -162,21 +162,27 @@ JACOBIAN_CASES = (
 )
 
 
-def _sympy_reduced_basis(gens):
-    """The monic reduced basis from sympy's own Buchberger (grevlex over QQ)."""
+def _sympy_groebner(gens):
+    """sympy's own Buchberger (grevlex over QQ): a converter into its ring, and the basis."""
     sympy = pytest.importorskip("sympy")
     from sympy.polys.groebnertools import groebner
     from sympy.polys.orderings import grevlex
     from sympy.polys.rings import ring
 
     r, *_ = ring(",".join(gens[0].variables), sympy.QQ, grevlex)
-    elements = [
-        r.from_dict({e: sympy.QQ(c.numerator, c.denominator) for e, c in g.terms.items()})
-        for g in gens
-    ]
+
+    def to_ring(g):
+        return r.from_dict({e: sympy.QQ(c.numerator, c.denominator) for e, c in g.terms.items()})
+
+    return to_ring, groebner([to_ring(g) for g in gens], r)
+
+
+def _sympy_reduced_basis(gens):
+    """The monic reduced basis from sympy's Buchberger."""
+    _, basis = _sympy_groebner(gens)
     return _canon(
         {e: Fraction(int(c.numerator), int(c.denominator)) for e, c in g.monic().items()}
-        for g in groebner(elements, r)
+        for g in basis
     )
 
 
@@ -204,3 +210,36 @@ def test_reduced_basis_matches_sympy():
 def test_jacobian_basis_matches_sympy(text):
     gens = jacobian_ideal(parse_polynomial(text))
     assert _canon(g.terms for g in groebner_basis(gens)) == _sympy_reduced_basis(gens)
+
+
+def test_membership_matches_sympy():
+    # g lies in the ideal iff its remainder on sympy's Groebner basis is zero.
+    rng = random.Random(27182)
+    answers = []
+    for _ in range(50):
+        vs = ("x", "y", "z")[: rng.randint(1, 3)]
+        gens = [_random_poly(rng, vs, 3, 3) for _ in range(rng.randint(1, 3))]
+        to_ring, basis = _sympy_groebner(gens)
+        for _ in range(3):
+            g = _random_poly(rng, vs, 3, 4)
+            if rng.random() < 0.5:
+                # a member, before the optional stray term
+                g = sum((_random_poly(rng, vs, 2, 1) * h for h in gens), g * 0)
+                g = g + _random_poly(rng, vs, 1, 2) * rng.randint(0, 1)
+            answers.append(ideal_membership(g, gens))
+            assert answers[-1] == (not to_ring(g).rem(basis)), (g, gens)
+    assert 0.2 < sum(answers) / len(answers) < 0.8
+
+
+def test_witness_matches_sympy():
+    rng = random.Random(16180)
+    outside = []
+    for text in JACOBIAN_CASES:
+        f = parse_polynomial(text)
+        to_ring, basis = _sympy_groebner(jacobian_ideal(f))
+        for _ in range(8):
+            m = tuple(rng.randint(0, 3) for _ in f.variables)
+            outside.append(jacobian_witness(f, m, 0))
+            monomial = Polynomial(f.variables, {m: 1})
+            assert outside[-1] == bool(to_ring(monomial).rem(basis)), (text, m)
+    assert True in outside and False in outside
