@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -147,6 +148,14 @@ def cmd_snc(args) -> tuple[int, dict, list[str]]:
 
 
 def cmd_bounds(args) -> tuple[int, dict, list[str]]:
+    # bound_w2_points = C(m, n) >= (m/k)^k for 1 <= k <= min(n, m - n).  Past
+    # the digit limit by that bound alone, it is refused before math.comb.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    m = (args.p + 1) * args.d - 1
+    k = min(args.n, m - args.n, limit + 2)
+    if limit and args.d >= 1 and args.p >= 0 and k >= 1:
+        if k * (math.log10(m) - math.log10(k)) > limit + 1:
+            raise ValidationError(f"bound_w2_points exceeds {limit} digits, the interpreter's limit")
     z2, z = projective_bounds(args.n, args.d, args.p)
     _check_digits(bound_w2_points=z2, bound_singular_points=z)
     payload = {

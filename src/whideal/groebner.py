@@ -10,6 +10,7 @@ the input only, by variables and generator terms, not Buchberger's work;
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .errors import SizeGuardError, ValidationError
@@ -25,7 +26,7 @@ def _lead(terms: dict) -> tuple:
 
 
 def _lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _subtract_multiple(work: dict, g: dict, shift: tuple, scale: Fraction) -> None:
@@ -35,7 +36,7 @@ def _subtract_multiple(work: dict, g: dict, shift: tuple, scale: Fraction) -> No
     `_normal_form`.
     """
     for e, c in g.items():
-        key = tuple(a + b for a, b in zip(e, shift))
+        key = tuple(map(operator.add, e, shift))
         v = work.get(key, 0) - scale * c
         if v:
             work[key] = v
@@ -52,7 +53,7 @@ def _normal_form(f: dict, basis: list[tuple]) -> dict:
         for lead, terms in basis:
             if divides(lead, m):
                 # the lead term m cancels exactly, so the step drops it
-                shift = tuple(a - b for a, b in zip(m, lead))
+                shift = tuple(map(operator.sub, m, lead))
                 _subtract_multiple(work, terms, shift, work[m] / terms[lead])
                 break
         else:
@@ -83,14 +84,14 @@ def _buchberger(gens: list[dict]) -> list[tuple]:
         pairs.discard((i, j))
         (li, fi), (lj, fj) = basis[i], basis[j]
         lcm_ij = _lcm(li, lj)
-        if lcm_ij == tuple(a + b for a, b in zip(li, lj)):
+        if lcm_ij == tuple(map(operator.add, li, lj)):
             continue  # coprime leads: S-polynomial reduces to zero
         if chain_criterion(i, j, lcm_ij):
             continue
         # S = x^(lcm - li) fi / lc(fi) - x^(lcm - lj) fj / lc(fj)
         s: dict = {}
-        _subtract_multiple(s, fi, tuple(a - b for a, b in zip(lcm_ij, li)), -1 / fi[li])
-        _subtract_multiple(s, fj, tuple(a - b for a, b in zip(lcm_ij, lj)), 1 / fj[lj])
+        _subtract_multiple(s, fi, tuple(map(operator.sub, lcm_ij, li)), -1 / fi[li])
+        _subtract_multiple(s, fj, tuple(map(operator.sub, lcm_ij, lj)), 1 / fj[lj])
         s = _normal_form(s, basis)
         if s:
             basis.append((_lead(s), s))

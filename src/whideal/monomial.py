@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import groupby
+from itertools import groupby, takewhile
 
 from .errors import ValidationError, require_int
 from .poly import Exponent, as_exponent, divides, grevlex_key, monomial_text
@@ -45,8 +45,15 @@ class MonomialIdeal:
     def is_subideal(self, other: "MonomialIdeal") -> bool:
         if self.n != other.n:
             raise ValidationError("ideals live in different variable counts")
-        # stored generators are already validated exponents of length n
-        return all(any(divides(h, g) for h in other.generators) for g in self.generators)
+        # x^h | x^g needs deg h <= deg g: g itself and the g - e_i are set lookups,
+        # and the generators reversed (lowest degree first) are scanned below deg g - 1.
+        gens, ascending = set(other.generators), other.generators[::-1]
+        return all(
+            g in gens
+            or any(g[i] and g[:i] + (g[i] - 1,) + g[i + 1:] in gens for i in range(self.n))
+            or any(divides(h, g) for h in takewhile(lambda h: sum(h) < sum(g) - 1, ascending))
+            for g in self.generators
+        )
 
     def __eq__(self, other):
         return (

@@ -37,7 +37,7 @@ def grevlex_key(exponent: Exponent):
     negated exponents, so the last nonzero entry of the difference decides
     with a negative entry winning.
     """
-    return (sum(exponent), tuple(-e for e in reversed(exponent)))
+    return (sum(exponent), tuple(map(operator.neg, reversed(exponent))))
 
 
 def fraction_text(x: Fraction) -> str:

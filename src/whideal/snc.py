@@ -23,7 +23,8 @@ l = r the only subset is J = I and the second formula is the first, so
 I_p(D) is computed as the piece I_p^{W_r}(D), by the one generator loop.
 
 Of the checks of `verify_snc_theorems`, stabilization (the loop reads l as
-min(l, r)) and w0-principal (the l = 0 branch) hold by construction.
+min(l, r)) and w0-principal (the l = 0 branch) hold by construction.  Its
+ladder builds each piece once: the pieces for l >= r are one object, I_p(D).
 """
 
 from __future__ import annotations
@@ -114,15 +115,17 @@ def verify_snc_theorems(model: SncModel, p_max: int) -> SncVerification:
 
     The stabilization and w0-principal checks hold by construction (l is
     read as min(l, r), and l = 0 is its own branch); they stay so that the
-    number and order of the checks are fixed.  I_p(D) is ladder[r].
+    number and order of the checks are fixed.  I_p(D) is ladder[r], built
+    once: every piece from l = r on is that same object.
     """
     require_int("p_max", p_max, 0)
     n, r = model.n, model.r
     checks = []
     adjoint = weighted_hodge_ideal_snc(model, 0, 1)
     for p in range(p_max + 1):
-        ladder = [weighted_hodge_ideal_snc(model, p, l) for l in range(n + 2)]
+        ladder = [weighted_hodge_ideal_snc(model, p, l) for l in range(r + 1)]
         hodge = ladder[r]
+        ladder += [hodge] * (n + 1 - r)
         for l in range(n + 1):
             checks.append(
                 SncCheck("chain", p, l, ladder[l].is_subideal(ladder[l + 1]))

@@ -156,6 +156,21 @@ def test_integers_past_the_digit_limit_exit_two(capsys, tmp_path, extra):
     assert err.startswith(f"error: cannot read table {str(table)!r}: ") and err.count("\n") == 1
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter converts integers of any length",
+)
+def test_bounds_past_the_digit_limit_are_refused_before_the_binomial(capsys, monkeypatch):
+    def comb(*args):
+        raise AssertionError("math.comb ran on a bound past the digit limit")
+
+    monkeypatch.setattr(whideal.dims.math, "comb", comb)
+    limit = sys.get_int_max_str_digits()
+    message = f"error: bound_w2_points exceeds {limit} digits, the interpreter's limit\n"
+    for n, d in (("400000", "40000000"), ("1" + "0" * 400, "1" + "0" * 401)):
+        assert run_main(capsys, ["bounds", "--n", n, "--d", d, "--p", "0"]) == (2, "", message)
+
+
 def test_analyze_parse_error_exit(capsys):
     code, _, err = run_main(capsys, ["analyze", "x^-1"])
     assert code == 1

@@ -4,6 +4,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle_membership import truncated_membership
 from whideal import (
@@ -17,6 +19,7 @@ from whideal import (
     jacobian_witness,
     parse_polynomial,
 )
+from whideal.groebner import _lcm
 
 
 def P(text, variables):
@@ -243,3 +246,10 @@ def test_witness_matches_sympy():
             monomial = Polynomial(f.variables, {m: 1})
             assert outside[-1] == bool(to_ring(monomial).rem(basis)), (text, m)
     assert True in outside and False in outside
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(*[st.tuples(*[st.integers(0, 9)] * n)] * 2)))
+def test_lcm_is_the_elementwise_max(pair):
+    a, b = pair
+    assert _lcm(a, b) == tuple(max(a[i], b[i]) for i in range(len(a)))

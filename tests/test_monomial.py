@@ -142,3 +142,26 @@ def test_generators_match_pairwise_antichain(case):
     n, gens = case
     expected = sorted(pairwise_minimal(gens), key=grevlex_key, reverse=True)
     assert MonomialIdeal(n, gens).generators == tuple(expected)
+
+
+@st.composite
+def multi_degree_pairs(draw):
+    """Two generator lists in n <= 5 variables whose entries span several
+    degrees, the second drawn partly from divisors of the first, so that
+    containment holds often and fails often."""
+    n = draw(st.integers(1, 5))
+    exponents = st.tuples(*[st.integers(0, 3)] * n)
+    a = draw(st.lists(exponents, max_size=12))
+    divisors = [tuple(draw(st.integers(0, x)) for x in g) for g in a]
+    b = draw(st.lists(st.sampled_from(divisors), max_size=6)) if divisors else []
+    return n, a, b + draw(st.lists(exponents, max_size=6))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(multi_degree_pairs())
+def test_is_subideal_matches_brute_force_divisibility(case):
+    n, a_gens, b_gens = case
+    a, b = MonomialIdeal(n, a_gens), MonomialIdeal(n, b_gens)
+    for lo, hi in ((a, b), (b, a)):
+        expected = all(any(all(map(int.__le__, h, g)) for h in hi.generators) for g in lo.generators)
+        assert lo.is_subideal(hi) == expected

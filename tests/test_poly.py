@@ -10,6 +10,7 @@ from whideal import (
     Polynomial,
     ValidationError,
     WhidealError,
+    grevlex_key,
     jacobian_ideal,
     parse_polynomial,
 )
@@ -264,3 +265,12 @@ def test_differentiation_is_linear(f, g):
 def test_leibniz_rule(f, g):
     for i in range(3):
         assert (f * g).partial(i) == f.partial(i) * g + f * g.partial(i)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(*[st.tuples(*[st.integers(0, 5)] * n)] * 2)))
+def test_grevlex_key_orders_like_sympy(pair):
+    grevlex = pytest.importorskip("sympy.polys.orderings").grevlex
+    a, b = pair
+    assert (grevlex_key(a) < grevlex_key(b)) == (grevlex(a) < grevlex(b))
+    assert (grevlex_key(a) == grevlex_key(b)) == (a == b)
