@@ -29,7 +29,8 @@ def pushforward_filtration_dim(d, p: int, n: int) -> int:
 
     `d` maps r to dim Gr_F^{n-r} of the vanishing-cohomology piece; entries
     for every 0 <= r <= p are required.  The collapsed form of the double
-    sum over Taylor directions is sum_r C(n+p-r, p-r) d(r).
+    sum over Taylor directions is sum_r C(n+p-r, p-r) d(r).  A term with
+    d(r) = 0 adds nothing, so its binomial is not computed.
     """
     require_int("p", p, 0)
     require_int("n", n, 1)
@@ -38,7 +39,8 @@ def pushforward_filtration_dim(d, p: int, n: int) -> int:
         if r not in d:
             raise ValidationError(f"missing graded dimension for r={r}")
         require_int(f"d({r})", d[r], 0)
-        total += binomial(n + p - r, p - r) * d[r]
+        if d[r]:
+            total += binomial(n + p - r, p - r) * d[r]
     return total
 
 

@@ -13,6 +13,7 @@ dt^j delta lies in V^alpha exactly when it is at least j + alpha.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ValidationError, require_int
@@ -86,36 +87,17 @@ def witness_annotation(
     return note
 
 
-class SingularityReport:
-    def __init__(
-        self,
-        variables: tuple[str, ...],
-        minimal_exponent: Fraction,
-        p_level: int | None,
-        r: int,
-        s: int | None,
-        simplicial: bool,
-        hodge_triviality: dict[int, bool],
-        w1_triviality: dict[int, bool],
-        nilpotency_upper: int | None,
-        type_range: tuple[tuple[int, int], ...] | None,
-        exact_type: tuple[int, int] | None,
-        notes: tuple[str, ...],
-        polyhedron: NewtonPolyhedron,
-    ):
-        self.variables = variables
-        self.minimal_exponent = minimal_exponent
-        self.p_level = p_level
-        self.r = r
-        self.s = s
-        self.simplicial = simplicial
-        self.hodge_triviality = hodge_triviality
-        self.w1_triviality = w1_triviality
-        self.nilpotency_upper = nilpotency_upper
-        self.type_range = type_range
-        self.exact_type = exact_type
-        self.notes = notes
-        self.polyhedron = polyhedron
+_REPORT_FIELDS = (
+    "variables minimal_exponent p_level r s simplicial hodge_triviality "
+    "w1_triviality nilpotency_upper type_range exact_type notes polyhedron"
+)
+
+
+class SingularityReport(namedtuple("SingularityReport", _REPORT_FIELDS)):
+    """What `classify` reads off the polyhedron.  Compares by value; the
+    triviality dicts make it unhashable."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -138,7 +120,7 @@ class SingularityReport:
         }
 
     def with_notes(self, extra) -> "SingularityReport":
-        return SingularityReport(**dict(vars(self), notes=self.notes + tuple(extra)))
+        return self._replace(notes=self.notes + tuple(extra))
 
 
 def classify(f: Polynomial, *, allow_nonconvenient: bool = False) -> SingularityReport:

@@ -22,6 +22,7 @@ subsets up to its first affinely independent one.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -82,35 +83,15 @@ def _affine_rank(points) -> int:
     return sum(_eliminate(rows, len(base)))
 
 
-class CompactFacet:
-    """A compact facet: covector B > 0 with <A, B> = 1 on incident points."""
-
-    def __init__(self, covector: tuple[Fraction, ...], incident_points: tuple[Exponent, ...]):
-        self.covector = covector
-        self.incident_points = incident_points
-
-    def __eq__(self, other):
-        if not isinstance(other, CompactFacet):
-            return NotImplemented
-        return (self.covector, self.incident_points) == (other.covector, other.incident_points)
-
-    def __hash__(self):
-        return hash((self.covector, self.incident_points))
+CompactFacet = namedtuple("CompactFacet", "covector incident_points")
+CompactFacet.__doc__ = "A compact facet: covector B > 0 with <A, B> = 1 on incident points."
 
 
-class NewtonPolyhedron:
-    def __init__(self, n: int, support: tuple[Exponent, ...], facets: tuple[CompactFacet, ...]):
-        self.n = n
-        self.support = support
-        self.facets = facets
+class NewtonPolyhedron(namedtuple("NewtonPolyhedron", "n support facets")):
+    """The support of f and the compact facets of its Newton polyhedron.
 
-    def __eq__(self, other):
-        if not isinstance(other, NewtonPolyhedron):
-            return NotImplemented
-        return (self.n, self.support, self.facets) == (other.n, other.support, other.facets)
-
-    def __hash__(self):
-        return hash((self.n, self.support, self.facets))
+    No `__slots__`: the cached `vertices` lives in the instance `__dict__`.
+    """
 
     @cached_property
     def vertices(self) -> frozenset[Exponent]:

@@ -29,10 +29,32 @@ ladder builds each piece once: the pieces for l >= r are one object, I_p(D).
 
 from __future__ import annotations
 
+import math
+from collections import namedtuple
 from itertools import combinations, combinations_with_replacement
 
-from .errors import ValidationError, require_int
+from .errors import SizeGuardError, ValidationError, require_int
 from .monomial import MonomialIdeal
+
+SNC_GENERATOR_LIMIT = 1_000_000
+_COUNT_CAP = 10**18  # a larger generator count is named only as past this
+
+
+def _comb_capped(m: int, k: int) -> int:
+    """min(C(m, k), _COUNT_CAP + 1), without computing a huge C(m, k).
+
+    C(m, k) >= 2^k' with k' = min(k, m - k), so from k' = 60 on it is past
+    the cap.
+    """
+    k = min(k, m - k)
+    return _COUNT_CAP + 1 if k >= 60 else min(math.comb(m, k), _COUNT_CAP + 1)
+
+
+def _refuse_past_limit(count: int) -> None:
+    """SizeGuardError when `count` generators, not yet built, pass the limit."""
+    if count > SNC_GENERATOR_LIMIT:
+        named = count if count <= _COUNT_CAP else f"more than {_COUNT_CAP}"
+        raise SizeGuardError(f"{named} generators exceed the limit of {SNC_GENERATOR_LIMIT}")
 
 
 class SncModel:
@@ -61,6 +83,7 @@ def weighted_hodge_ideal_snc(model: SncModel, p: int, l: int) -> MonomialIdeal:
     if l == 0:
         return MonomialIdeal(n, [base])
     l = min(l, r)
+    _refuse_past_limit(_comb_capped(r, l) * _comb_capped(l + p - 1, p))
     gens = []
     for subset in combinations(range(r), l):
         # x_I^{p+1} / (x_J * mu), mu a degree-p monomial in x_J
@@ -74,19 +97,11 @@ def weighted_hodge_ideal_snc(model: SncModel, p: int, l: int) -> MonomialIdeal:
     return MonomialIdeal(n, gens)
 
 
-class SncCheck:
-    def __init__(self, name: str, p: int, l: int | None, passed: bool):
-        self.name = name
-        self.p = p
-        self.l = l
-        self.passed = passed
+SncCheck = namedtuple("SncCheck", "name p l passed")
 
 
-class SncVerification:
-    def __init__(self, model: SncModel, p_max: int, checks: tuple[SncCheck, ...]):
-        self.model = model
-        self.p_max = p_max
-        self.checks = checks
+class SncVerification(namedtuple("SncVerification", "model p_max checks")):
+    __slots__ = ()
 
     @property
     def all_passed(self) -> bool:
@@ -97,10 +112,7 @@ class SncVerification:
             "n": self.model.n,
             "r": self.model.r,
             "p_max": self.p_max,
-            "checks": [
-                {"name": c.name, "p": c.p, "l": c.l, "passed": c.passed}
-                for c in self.checks
-            ],
+            "checks": [c._asdict() for c in self.checks],
             "all_passed": self.all_passed,
         }
 
@@ -120,6 +132,15 @@ def verify_snc_theorems(model: SncModel, p_max: int) -> SncVerification:
     """
     require_int("p_max", p_max, 0)
     n, r = model.n, model.r
+    # The generators of every piece, counted before any is built: the
+    # adjoint piece has r, each l = 0 piece one, and summing C(l + p - 1, p)
+    # over p <= p_max gives C(l + p_max, p_max).
+    count = r + p_max + 1
+    for l in range(1, r + 1):
+        count += _comb_capped(r, l) * _comb_capped(l + p_max, p_max)
+        if count > _COUNT_CAP:
+            break
+    _refuse_past_limit(count)
     checks = []
     adjoint = weighted_hodge_ideal_snc(model, 0, 1)
     for p in range(p_max + 1):

@@ -269,6 +269,19 @@ def test_snc_validation_exit(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_snc_generator_guard_exits_three(capsys):
+    for argv, count in [
+        (["snc", "--n", "16", "--r", "16", "--p", "4", "--l", "8"], 4247100),
+        (["snc", "--n", "16", "--r", "16", "--p", "2", "--verify"], 3080210),
+        (["verify", "--n", "20", "--r", "20", "--p-max", "3"], 331350039),
+    ]:
+        for extra in ([], ["--json"]):
+            message = f"size guard: {count} generators exceed the limit of 1000000\n"
+            assert run_main(capsys, argv + extra) == (3, "", message)
+    code, out, _ = run_main(capsys, ["verify", "--n", "10", "--r", "10", "--p-max", "3"])
+    assert code == 0 and out.splitlines()[-1] == "all checks passed"
+
+
 # -- bounds ----------------------------------------------------------------------
 
 
@@ -375,6 +388,28 @@ def test_dims_pushforward_range_names_pushforward(capsys, tmp_path):
         capsys, ["dims", "--table", path, "--l", "3", "--p", "1", "--pushforward", "3", "3"]
     )
     assert code == 0 and out.splitlines()[1] == "dim F_p pushforward (n=3, p=3): 50"
+
+
+def test_dims_pushforward_computes_no_binomial_of_a_zero_piece(capsys, tmp_path, monkeypatch):
+    # n = 20002 and P = 20000: 20,001 pieces, of which at most r = 1 is nonzero
+    calls = []
+    binomial = whideal.dims.binomial
+    monkeypatch.setattr(whideal.dims, "binomial", lambda n, k: calls.append((n, k)) or binomial(n, k))
+    argv = ["--l", "3", "--p", "1", "--pushforward", "20000", "20000"]
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"n": 20002, "middle": [[1, 20000, 1]]}), encoding="utf-8")
+    code, out, _ = run_main(capsys, ["dims", "--table", str(path), *argv])
+    assert (code, out.splitlines()[1], calls) == (0, "dim F_p pushforward (n=20000, p=20000): 0", [])
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"n": 20002, "middle": [[1, 19998, 1]]}), encoding="utf-8")
+    code, out, err = run_main(capsys, ["dims", "--table", str(path), *argv])
+    assert calls == [(39999, 19999)]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        assert (code, out) == (2, "")
+        assert err == f"error: pushforward_dim exceeds {limit} digits, the interpreter's limit\n"
+    else:
+        assert code == 0
 
 
 def test_dims_malformed_row_key_exits_two(capsys, tmp_path):

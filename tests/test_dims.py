@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import whideal.dims
 from whideal import (
     HodgeNumberTable,
     ValidationError,
@@ -60,6 +61,25 @@ def test_pushforward_requires_all_entries():
         pushforward_filtration_dim({0: 1}, -1, 5)
     with pytest.raises(ValidationError):
         pushforward_filtration_dim({0: 1}, 0, 0)
+
+
+def test_pushforward_skips_zero_pieces(monkeypatch):
+    calls = []
+
+    def counting(n, k):
+        calls.append((n, k))
+        return math.comb(n, k)
+
+    monkeypatch.setattr(whideal.dims, "binomial", counting)
+    d = dict.fromkeys(range(201), 0)
+    assert pushforward_filtration_dim(d, 200, 5) == 0
+    assert calls == []
+    d[1] = 2
+    assert pushforward_filtration_dim(d, 200, 5) == 2 * math.comb(204, 199)
+    assert calls == [(204, 199)]
+    # a zero piece is still checked
+    with pytest.raises(ValidationError, match=r"^d\(1\) must be an int"):
+        pushforward_filtration_dim({0: 0, 1: 0.0}, 1, 5)
 
 
 @settings(derandomize=True, deadline=None)

@@ -335,13 +335,13 @@ def test_with_notes_appends():
 
 def test_report_value_semantics():
     rep = classify(parse_polynomial(WORKED))
-    before = dict(vars(rep))
+    before = rep._asdict()
     extended = rep.with_notes(["extra line"])
-    assert vars(rep) == before
+    assert rep._asdict() == before
     assert extended is not rep
     assert extended.polyhedron is rep.polyhedron
-    assert vars(extended) == dict(before, notes=rep.notes + ("extra line",))
-    assert vars(SingularityReport(**before)) == before
+    assert extended._asdict() == dict(before, notes=rep.notes + ("extra line",))
+    assert SingularityReport(**before)._asdict() == before
     positional = SingularityReport(*before.values())
     assert positional.to_json_dict() == rep.to_json_dict()
 

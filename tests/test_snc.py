@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import whideal.monomial
+import whideal.snc
 from oracle_monomial import pairwise_minimal
 from whideal import (
     MonomialIdeal,
+    SizeGuardError,
     SncModel,
     ValidationError,
     binomial,
@@ -58,9 +60,9 @@ def test_value_semantics():
     result = verify_snc_theorems(model, 1)
     assert result.model is model and result.p_max == 1
     first = result.checks[0]
-    assert vars(first) == vars(SncCheck(name="chain", p=0, l=0, passed=True))
+    assert first._asdict() == SncCheck(name="chain", p=0, l=0, passed=True)._asdict()
     again = SncVerification(model=model, p_max=1, checks=result.checks)
-    assert vars(again) == vars(result)
+    assert again._asdict() == result._asdict()
     assert again.to_json_dict() == result.to_json_dict()
 
 
@@ -214,3 +216,59 @@ def test_closed_forms_need_no_divisibility_test(monkeypatch):
     hodge_ideal_snc(model, 3)
     assert calls == 0
     assert [len(ideal.generators) for ideal in ladder] == [1, 6, 60, 200, 300, 210, 56, 56]
+
+
+
+# -- generator guard -------------------------------------------------------------
+
+
+def test_generator_guard_refuses_before_building(monkeypatch):
+    def build(*args):
+        raise AssertionError("generators were built")
+
+    # The test's own name for weighted_hodge_ideal_snc is the unpatched one.
+    monkeypatch.setattr(whideal.snc, "combinations", build)
+    monkeypatch.setattr(whideal.snc, "weighted_hodge_ideal_snc", build)
+    # C(16, 8) * C(11, 4) = 12870 * 330
+    with pytest.raises(SizeGuardError, match=r"^4247100 generators exceed the limit of 1000000$"):
+        weighted_hodge_ideal_snc(SncModel(16, 16), 4, 8)
+    with pytest.raises(SizeGuardError, match=r"^331350039 generators exceed the limit of 1000000$"):
+        verify_snc_theorems(SncModel(20, 20), 3)
+    huge = r"^more than 1000000000000000000 generators exceed the limit of 1000000$"
+    with pytest.raises(SizeGuardError, match=huge):
+        weighted_hodge_ideal_snc(SncModel(200, 200), 4, 100)
+    with pytest.raises(SizeGuardError, match=huge):
+        verify_snc_theorems(SncModel(200, 200), 4)
+
+
+def test_generator_guard_counts_what_is_built(monkeypatch):
+    built = []
+
+    class Counting(MonomialIdeal):
+        def __init__(self, n, generators):
+            generators = list(generators)
+            built.append(len(generators))
+            super().__init__(n, generators)
+
+    monkeypatch.setattr(whideal.snc, "MonomialIdeal", Counting)
+    default = whideal.snc.SNC_GENERATOR_LIMIT
+    for n, r, p_max in [(3, 2, 2), (5, 5, 2), (6, 4, 3)]:
+        model = SncModel(n, r)
+        monkeypatch.setattr(whideal.snc, "SNC_GENERATOR_LIMIT", default)
+        built.clear()
+        verify_snc_theorems(model, p_max)
+        # one principal ideal per p is built for its check, not in the ladder
+        count = sum(built) - (p_max + 1)
+        monkeypatch.setattr(whideal.snc, "SNC_GENERATOR_LIMIT", count)
+        verify_snc_theorems(model, p_max)
+        monkeypatch.setattr(whideal.snc, "SNC_GENERATOR_LIMIT", count - 1)
+        with pytest.raises(SizeGuardError, match=f"^{count} generators exceed the limit of {count - 1}$"):
+            verify_snc_theorems(model, p_max)
+    # one piece, C(5, 3) * C(4, 2) = 60 generators, exactly at the limit
+    monkeypatch.setattr(whideal.snc, "SNC_GENERATOR_LIMIT", 60)
+    built.clear()
+    weighted_hodge_ideal_snc(SncModel(5, 5), 2, 3)
+    assert built == [60]
+    monkeypatch.setattr(whideal.snc, "SNC_GENERATOR_LIMIT", 59)
+    with pytest.raises(SizeGuardError, match="^60 generators exceed the limit of 59$"):
+        weighted_hodge_ideal_snc(SncModel(5, 5), 2, 3)
