@@ -28,7 +28,13 @@ from .dims import (
 from .errors import ParseError, SizeGuardError, ValidationError, require_int
 from .invariants import classify, jacobian_witness, witness_annotation
 from .poly import fraction_text, parse_polynomial
-from .snc import SncModel, hodge_ideal_snc, verify_snc_theorems, weighted_hodge_ideal_snc
+from .snc import (
+    SncModel,
+    hodge_ideal_snc,
+    refuse_checks_past_limit,
+    verify_snc_theorems,
+    weighted_hodge_ideal_snc,
+)
 
 
 def _style(text: str, code: str) -> str:
@@ -208,7 +214,12 @@ def cmd_dims(args) -> tuple[int, dict, list[str]]:
 
 def cmd_verify(args) -> tuple[int, dict, list[str]]:
     require_int("n", args.n, 1)
-    r_values = [args.r] if args.r is not None else list(range(1, args.n + 1))
+    if args.r is None:
+        # Every r is counted before any check is built.
+        refuse_checks_past_limit(args.n, args.p_max)
+        r_values = range(1, args.n + 1)
+    else:
+        r_values = [args.r]
     results = [verify_snc_theorems(SncModel(args.n, r), args.p_max) for r in r_values]
     all_ok = all(v.all_passed for v in results)
     payload = {

@@ -7,7 +7,9 @@ Everything below is exact: facets come from solving n-point linear systems
 over Q, and vertices are derived from the facets on first read, by the rank
 of the facet normals through each support point, so no floating-point hull
 code is involved anywhere.  One Gauss-Jordan routine, `_eliminate`, does both
-the solving and the rank counting.
+the solving and the rank counting.  The solve still runs over Q, but the test
+of each positive covector B against the support runs in integers: with d the
+lcm of B's denominators and N = d*B, <a, B> >= 1 is <a, N> >= d.
 
 A support point a that another support point b divides (a >= b, a != b)
 lies strictly above every compact facet, since B > 0 gives
@@ -26,6 +28,8 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import lcm
+from operator import mul
 
 from .errors import ValidationError
 from .monomial import MonomialIdeal
@@ -203,12 +207,16 @@ def _compact_facets(support, n) -> dict[tuple[Fraction, ...], tuple[Exponent, ..
         cov = _covector_for(subset)
         if cov is None or any(b <= 0 for b in cov):
             continue
+        # <a, B> against 1 is <a, N> against d, with N = d*B the integer
+        # normal for d the lcm of the denominators: no Fraction per point.
+        d = lcm(*(b.denominator for b in cov))
+        normal = [b.numerator * (d // b.denominator) for b in cov]
         incident = []
         for a in points:
-            level = _dot(a, cov)
-            if level < 1:
+            level = sum(map(mul, a, normal))
+            if level < d:
                 break
-            if level == 1:
+            if level == d:
                 incident.append(a)
         else:
             found[cov] = tuple(incident)

@@ -37,6 +37,7 @@ from .errors import SizeGuardError, ValidationError, require_int
 from .monomial import MonomialIdeal
 
 SNC_GENERATOR_LIMIT = 1_000_000
+SNC_CHECK_LIMIT = 10_000_000  # checks times n, the entries of each exponent
 _COUNT_CAP = 10**18  # a larger generator count is named only as past this
 
 
@@ -55,6 +56,25 @@ def _refuse_past_limit(count: int) -> None:
     if count > SNC_GENERATOR_LIMIT:
         named = count if count <= _COUNT_CAP else f"more than {_COUNT_CAP}"
         raise SizeGuardError(f"{named} generators exceed the limit of {SNC_GENERATOR_LIMIT}")
+
+
+def refuse_checks_past_limit(n: int, p_max: int, r: int | None = None) -> None:
+    """SizeGuardError when the checks of `verify_snc_theorems` for r, or for
+    every 1 <= r <= n when r is None, times n pass `SNC_CHECK_LIMIT`.
+
+    Each p makes n + 1 chain checks, n + 1 - r stabilization checks, one
+    w0-principal check and, for p >= 1, one adjoint containment, each on
+    exponents of n entries.  The count is closed-form, so a huge n costs
+    nothing before it is refused.
+    """
+    require_int("p_max", p_max, 0)
+    models, r_sum = (n, n * (n + 1) // 2) if r is None else (1, r)
+    checks = (p_max + 1) * ((2 * n + 3) * models - r_sum) + p_max * models
+    if checks * n > SNC_CHECK_LIMIT:
+        raise SizeGuardError(
+            f"{checks} checks on {n} coordinates ({checks * n} entries) "
+            f"exceed the limit of {SNC_CHECK_LIMIT}"
+        )
 
 
 class SncModel:
@@ -128,10 +148,12 @@ def verify_snc_theorems(model: SncModel, p_max: int) -> SncVerification:
     The stabilization and w0-principal checks hold by construction (l is
     read as min(l, r), and l = 0 is its own branch); they stay so that the
     number and order of the checks are fixed.  I_p(D) is ladder[r], built
-    once: every piece from l = r on is that same object.
+    once: every piece from l = r on is that same object.  The checks and
+    the generators are both counted, and refused past their limits, before
+    any piece is built.
     """
-    require_int("p_max", p_max, 0)
     n, r = model.n, model.r
+    refuse_checks_past_limit(n, p_max, r)
     # The generators of every piece, counted before any is built: the
     # adjoint piece has r, each l = 0 piece one, and summing C(l + p - 1, p)
     # over p <= p_max gives C(l + p_max, p_max).

@@ -282,6 +282,22 @@ def test_snc_generator_guard_exits_three(capsys):
     assert code == 0 and out.splitlines()[-1] == "all checks passed"
 
 
+def test_verify_check_guard_exits_three_before_any_check(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("checks were built")
+
+    monkeypatch.setattr(cli, "verify_snc_theorems", refuse)
+    # every r of 1..3000, 101 values of p: 101 * (3000 * 6003 - 4501500) + 3000 * 100
+    message = (
+        "size guard: 1364557500 checks on 3000 coordinates (4093672500000 entries) "
+        "exceed the limit of 10000000\n"
+    )
+    for extra in ([], ["--json"]):
+        assert run_main(capsys, ["verify", "--n", "3000", "--p-max", "100", *extra]) == (3, "", message)
+    code, _, err = run_main(capsys, ["verify", "--n", "3000", "--p-max", "-1"])
+    assert code == 2 and err == "error: need p_max >= 0, got -1\n"
+
+
 # -- bounds ----------------------------------------------------------------------
 
 

@@ -52,17 +52,21 @@ def test_worked_example_two_facets():
 
 
 def test_diagonal_supports():
-    for exps in [(2, 2), (2, 3, 5), (3, 4, 4, 9)]:
+    # Large coprime exponents make the lcm of the covector's denominators
+    # far exceed each denominator.
+    for exps in [(2, 2), (2, 3, 5), (3, 4, 4, 9), (97, 89, 83, 79, 73), (64, 81, 125, 49, 121)]:
         n = len(exps)
         terms = {}
         for i, a in enumerate(exps):
             e = [0] * n
             e[i] = a
             terms[tuple(e)] = 1
-        np_ = compute_polyhedron(Polynomial([f"x{i}" for i in range(n)], terms))
+        f = Polynomial([f"x{i}" for i in range(n)], terms)
+        np_ = compute_polyhedron(f)
         assert len(np_.facets) == 1
         assert np_.facets[0].covector == tuple(Fraction(1, a) for a in exps)
         assert np_.shifted_weight_one() == sum(Fraction(1, a) for a in exps)
+        assert minimal_exponent(f) == sum(Fraction(1, a) for a in exps)
 
 
 def test_non_vertex_support_point():
@@ -200,6 +204,39 @@ def test_matches_brute_force_oracle():
         got = [(facet.covector, facet.incident_points) for facet in np_.facets]
         assert got == facet_oracle(support)
         assert np_.shifted_weight_one() == rho_one_oracle(support)
+
+
+def _wide_exponent_support(rng, n, convenient):
+    """Up to n + 4 points with entries up to 40, so covectors have large,
+    mostly coprime denominators; about two in five entries are zero."""
+    support = set()
+    if convenient:
+        support.update(tuple(rng.randint(2, 40) * (j == i) for j in range(n)) for i in range(n))
+    size = len(support) + rng.randint(1, 4)
+    while len(support) < size:
+        e = tuple(0 if rng.random() < 0.4 else rng.randint(1, 40) for _ in range(n))
+        if any(e):
+            support.add(e)
+    return support
+
+
+def test_wide_exponents_match_brute_force_oracle():
+    # Facet levels are compared in integers after clearing the covector's
+    # denominators; entries up to 40 give many-digit lcms, and non-convenient
+    # supports send `vertices` through the facets of projections as well.
+    rng = random.Random(2540)
+    supports = [
+        _wide_exponent_support(rng, n, convenient=k % 2 == 0)
+        for n in (2, 3, 4, 5)
+        for k in range(20)
+    ]
+    nonconvenient = sum(not is_convenient(_polynomial(s)) for s in supports)
+    assert nonconvenient >= 20
+    for support in supports:
+        np_ = compute_polyhedron(_polynomial(support))
+        got = [(facet.covector, facet.incident_points) for facet in np_.facets]
+        assert got == facet_oracle(support), sorted(support)
+        assert np_.vertices == vertex_oracle(support), sorted(support)
 
 
 @pytest.fixture

@@ -272,3 +272,23 @@ def test_generator_guard_counts_what_is_built(monkeypatch):
     monkeypatch.setattr(whideal.snc, "SNC_GENERATOR_LIMIT", 59)
     with pytest.raises(SizeGuardError, match="^60 generators exceed the limit of 59$"):
         weighted_hodge_ideal_snc(SncModel(5, 5), 2, 3)
+
+
+def test_check_guard_counts_the_checks_times_n(monkeypatch):
+    default = whideal.snc.SNC_CHECK_LIMIT
+    sizes = [(n, p_max) for n in range(1, 6) for p_max in range(4)]
+    checks = {
+        (n, p_max): [len(verify_snc_theorems(SncModel(n, r), p_max).checks) for r in range(1, n + 1)]
+        for n, p_max in sizes
+    }
+    for (n, p_max), counts in checks.items():
+        for r, entries in [*((r, n * c) for r, c in enumerate(counts, 1)), (None, n * sum(counts))]:
+            monkeypatch.setattr(whideal.snc, "SNC_CHECK_LIMIT", entries)
+            whideal.snc.refuse_checks_past_limit(n, p_max, r)
+            monkeypatch.setattr(whideal.snc, "SNC_CHECK_LIMIT", entries - 1)
+            message = f"^{entries // n} checks on {n} coordinates \\({entries} entries\\) exceed the limit of {entries - 1}$"
+            with pytest.raises(SizeGuardError, match=message):
+                whideal.snc.refuse_checks_past_limit(n, p_max, r)
+    monkeypatch.setattr(whideal.snc, "SNC_CHECK_LIMIT", default)
+    with pytest.raises(SizeGuardError, match=r"^6002 checks on 3000 coordinates \(18006000 entries\)"):
+        verify_snc_theorems(SncModel(3000, 1), 0)
