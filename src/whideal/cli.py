@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -32,6 +31,7 @@ from .snc import (
     SncModel,
     hodge_ideal_snc,
     refuse_checks_past_limit,
+    refuse_generators_past_limit,
     verify_snc_theorems,
     weighted_hodge_ideal_snc,
 )
@@ -72,6 +72,21 @@ def _check_digits(**values: int) -> None:
         except ValueError:
             limit = sys.get_int_max_str_digits()
             raise ValidationError(f"{name} exceeds {limit} digits, the interpreter's limit") from None
+
+
+def _refuse_binomial_past_digits(name: str, m: int, k: int) -> None:
+    """The ValidationError of `_check_digits`, raised before C(m, k) is
+    computed, when a lower bound alone puts C(m, k) past the digit limit.
+
+    With k' = min(k, m - k) >= 1 and b the bit length of m // k',
+    C(m, k) >= (m // k')^k' >= 2^(k'(b - 1)), and 1000 / 3322 < log10(2),
+    so 1000 k'(b - 1) > 3322 * limit means more than `limit` digits.
+    Borderline values are left to the exact check.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    k = min(k, m - k)
+    if limit and k >= 1 and 1000 * k * ((m // k).bit_length() - 1) > 3322 * limit:
+        raise ValidationError(f"{name} exceeds {limit} digits, the interpreter's limit")
 
 
 def _read_polynomial(args):
@@ -154,14 +169,8 @@ def cmd_snc(args) -> tuple[int, dict, list[str]]:
 
 
 def cmd_bounds(args) -> tuple[int, dict, list[str]]:
-    # bound_w2_points = C(m, n) >= (m/k)^k for 1 <= k <= min(n, m - n).  Past
-    # the digit limit by that bound alone, it is refused before math.comb.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    m = (args.p + 1) * args.d - 1
-    k = min(args.n, m - args.n, limit + 2)
-    if limit and args.d >= 1 and args.p >= 0 and k >= 1:
-        if k * (math.log10(m) - math.log10(k)) > limit + 1:
-            raise ValidationError(f"bound_w2_points exceeds {limit} digits, the interpreter's limit")
+    if args.d >= 1 and args.p >= 0:
+        _refuse_binomial_past_digits("bound_w2_points", (args.p + 1) * args.d - 1, args.n)
     z2, z = projective_bounds(args.n, args.d, args.p)
     _check_digits(bound_w2_points=z2, bound_singular_points=z)
     payload = {
@@ -204,7 +213,13 @@ def cmd_dims(args) -> tuple[int, dict, list[str]]:
         require_int("--pushforward P", push_p, 0)
         if push_p > table.n - 2:
             raise ValidationError(f"need --pushforward P <= n-2, got P={push_p}, n={table.n}")
-        d = {r: graded_piece_dim(table, args.l, r) for r in range(push_p + 1)}
+        d = {}
+        for r in range(push_p + 1):
+            d[r] = graded_piece_dim(table, args.l, r)
+            # Every term C(N + P - r, P - r) d(r) is >= 0, so one past the
+            # limit puts the sum past it.
+            if d[r]:
+                _refuse_binomial_past_digits("pushforward_dim", amb_n + push_p - r, push_p - r)
         pushforward = pushforward_filtration_dim(d, push_p, amb_n)
         _check_digits(pushforward_dim=pushforward)
         payload["pushforward_dim"] = pushforward
@@ -215,9 +230,10 @@ def cmd_dims(args) -> tuple[int, dict, list[str]]:
 def cmd_verify(args) -> tuple[int, dict, list[str]]:
     require_int("n", args.n, 1)
     if args.r is None:
-        # Every r is counted before any check is built.
+        # Every r is counted before any check or generator is built.
         refuse_checks_past_limit(args.n, args.p_max)
         r_values = range(1, args.n + 1)
+        refuse_generators_past_limit(args.p_max, r_values)
     else:
         r_values = [args.r]
     results = [verify_snc_theorems(SncModel(args.n, r), args.p_max) for r in r_values]

@@ -4,10 +4,10 @@ The Newton polyhedron of f is the convex hull of supp(f) + the nonnegative
 orthant.  Only its compact facets matter here; each one is the solution set
 of <A, B> = 1 for a unique covector B with all entries strictly positive.
 Everything below is exact: facets come from solving n-point linear systems
-over Q, and vertices are derived from the facets on first read, by the rank
-of the facet normals through each support point, so no floating-point hull
-code is involved anywhere.  One Gauss-Jordan routine, `_eliminate`, does both
-the solving and the rank counting.  The solve still runs over Q, but the test
+over Q, and vertices are derived on first read from the support points on
+each face, so no floating-point hull code is involved anywhere.  One
+Gauss-Jordan routine, `_eliminate`, does both the solving and the affine
+rank `classify` reads.  The solve still runs over Q, but the test
 of each positive covector B against the support runs in integers: with d the
 lcm of B's denominators and N = d*B, <a, B> >= 1 is <a, N> >= d.
 
@@ -34,10 +34,6 @@ from operator import mul
 from .errors import ValidationError
 from .monomial import MonomialIdeal
 from .poly import Exponent, Polynomial, fraction_text
-
-
-def _dot(a, b) -> Fraction:
-    return sum(x * y for x, y in zip(a, b))
 
 
 def _eliminate(rows, width):
@@ -101,36 +97,37 @@ class NewtonPolyhedron(namedtuple("NewtonPolyhedron", "n support facets")):
     def vertices(self) -> frozenset[Exponent]:
         """The support points that are vertices, computed on first read.
 
-        A point of a polyhedron is a vertex iff the normals of the facets
-        through it have rank n (Ziegler, Lectures on Polytopes, ch. 2).  Each
-        facet of the Newton polyhedron is compact, a coordinate hyperplane,
-        or a compact facet of the projection of the support onto a proper
-        set of coordinates that misses the origin, lifted with zeros.  Other
-        hyperplanes supporting the polyhedron at a point leave the rank
-        unchanged, so the normal e_i is taken for every zero entry a_i.  A
-        pure power of a dropped variable projects onto the origin, so
-        convenient supports lift no facets.
+        Every face of a polyhedron is the intersection of the facets that
+        contain it (Ziegler, Lectures on Polytopes, ch. 2).  Each facet of the
+        Newton polyhedron is compact, a coordinate hyperplane, or a compact
+        facet of the projection of the support onto a proper set of
+        coordinates that misses the origin, lifted with zeros; a pure power
+        of a dropped variable projects onto the origin, so convenient
+        supports lift no facets.  Each such face is kept as the set of
+        undominated support points on it.  The smallest face through a is
+        the hull of its support points plus coordinate rays, with a in its
+        relative interior, so a is a vertex iff the faces through it meet in
+        {a}.  A point on no face is interior, and not a vertex.
         """
         n = self.n
-        normals = [facet.covector for facet in self.facets]
-        for k in range(1, n):
-            for kept in combinations(range(n), k):
-                projected = {tuple(a[i] for i in kept) for a in self.support}
-                if (0,) * k not in projected:
-                    for cov in _compact_facets(sorted(projected), k):
-                        lifted = dict(zip(kept, cov))
-                        normals.append(tuple(lifted.get(i, 0) for i in range(n)))
-
-        def is_vertex(a) -> bool:
-            # The e_i with a_i = 0 span those coordinates; the other normals
-            # through a must span the rest.
-            free = [i for i, x in enumerate(a) if x]
-            through = [tuple(b[i] for i in free) for b in normals if _dot(a, b) == 1]
-            return _affine_rank([(0,) * len(free), *through]) == len(free)
-
         # A dominated point b + d is the midpoint of b + d/2 and b + 3d/2,
         # both in the polyhedron, so it is never a vertex.
-        return frozenset(filter(is_vertex, _undominated(self.support, n)))
+        points = _undominated(self.support, n)
+        faces = [set(facet.incident_points) for facet in self.facets]
+        faces += [{a for a in points if not a[i]} for i in range(n)]
+        for k in range(1, n):
+            for kept in combinations(range(n), k):
+                shadow = {a: tuple(a[i] for i in kept) for a in points}
+                projected = set(shadow.values())
+                if (0,) * k not in projected:
+                    for incident in _compact_facets(sorted(projected), k).values():
+                        faces.append({a for a in points if shadow[a] in incident})
+
+        def is_vertex(a) -> bool:
+            through = [face for face in faces if a in face]
+            return bool(through) and set.intersection(*through) == {a}
+
+        return frozenset(filter(is_vertex, points))
 
     def shifted_weight_one(self) -> Fraction:
         """min over compact facets of <(1,...,1), B>: the minimal-exponent value."""

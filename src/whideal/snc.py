@@ -77,6 +77,23 @@ def refuse_checks_past_limit(n: int, p_max: int, r: int | None = None) -> None:
         )
 
 
+def refuse_generators_past_limit(p_max: int, r_values) -> None:
+    """SizeGuardError when `verify_snc_theorems`, run once for each r in
+    `r_values`, would build more than `SNC_GENERATOR_LIMIT` generators.
+
+    For each r the adjoint piece has r generators and each l = 0 piece one,
+    and summing C(l + p - 1, p) over p <= p_max gives C(l + p_max, p_max).
+    Every r is counted before any piece is built.
+    """
+    count = 0
+    for r in r_values:
+        count += r + p_max + 1
+        count += sum(_comb_capped(r, l) * _comb_capped(l + p_max, p_max) for l in range(1, r + 1))
+        if count > _COUNT_CAP:
+            break
+    _refuse_past_limit(count)
+
+
 class SncModel:
     """n ambient coordinates, the first r of which cut out the divisor."""
 
@@ -154,15 +171,7 @@ def verify_snc_theorems(model: SncModel, p_max: int) -> SncVerification:
     """
     n, r = model.n, model.r
     refuse_checks_past_limit(n, p_max, r)
-    # The generators of every piece, counted before any is built: the
-    # adjoint piece has r, each l = 0 piece one, and summing C(l + p - 1, p)
-    # over p <= p_max gives C(l + p_max, p_max).
-    count = r + p_max + 1
-    for l in range(1, r + 1):
-        count += _comb_capped(r, l) * _comb_capped(l + p_max, p_max)
-        if count > _COUNT_CAP:
-            break
-    _refuse_past_limit(count)
+    refuse_generators_past_limit(p_max, [r])
     checks = []
     adjoint = weighted_hodge_ideal_snc(model, 0, 1)
     for p in range(p_max + 1):

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -16,6 +17,7 @@ import pytest
 import whideal
 from whideal import cli
 from whideal.cli import main
+from whideal.errors import ValidationError
 
 WORKED = "x^2 + y^2 + z^2 + u^2*w^2 + u^4 + w^5"
 
@@ -160,7 +162,7 @@ def test_integers_past_the_digit_limit_exit_two(capsys, tmp_path, extra):
     not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
     reason="this interpreter converts integers of any length",
 )
-def test_bounds_past_the_digit_limit_are_refused_before_the_binomial(capsys, monkeypatch):
+def test_bounds_past_the_digit_limit_are_refused_before_the_binomial(capsys, monkeypatch, tmp_path):
     def comb(*args):
         raise AssertionError("math.comb ran on a bound past the digit limit")
 
@@ -169,6 +171,26 @@ def test_bounds_past_the_digit_limit_are_refused_before_the_binomial(capsys, mon
     message = f"error: bound_w2_points exceeds {limit} digits, the interpreter's limit\n"
     for n, d in (("400000", "40000000"), ("1" + "0" * 400, "1" + "0" * 401)):
         assert run_main(capsys, ["bounds", "--n", n, "--d", d, "--p", "0"]) == (2, "", message)
+    # d(1) = 1 and d(r) = 0 otherwise: the one term is C(3999999, 1999999)
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"n": 2000002, "middle": [[1, 1999998, 1]]}))
+    argv = ["dims", "--table", str(table), "--l", "3", "--p", "1", "--pushforward", "2000000", "2000000"]
+    message = f"error: pushforward_dim exceeds {limit} digits, the interpreter's limit\n"
+    assert run_main(capsys, argv) == (2, "", message)
+
+
+def test_digit_pre_check_refuses_only_binomials_past_the_limit(monkeypatch):
+    monkeypatch.setattr(cli.sys, "get_int_max_str_digits", lambda: 30, raising=False)
+    refused = 0
+    for m in range(1, 300):
+        for k in range(m + 1):
+            try:
+                cli._refuse_binomial_past_digits("value", m, k)
+            except ValidationError:
+                refused += 1
+                assert len(str(math.comb(m, k))) > 30, (m, k)
+    # 7,778 of the 29,740 binomials here are past 30 digits by the bound alone
+    assert refused > 7000
 
 
 def test_analyze_parse_error_exit(capsys):
@@ -296,6 +318,13 @@ def test_verify_check_guard_exits_three_before_any_check(capsys, monkeypatch):
         assert run_main(capsys, ["verify", "--n", "3000", "--p-max", "100", *extra]) == (3, "", message)
     code, _, err = run_main(capsys, ["verify", "--n", "3000", "--p-max", "-1"])
     assert code == 2 and err == "error: need p_max >= 0, got -1\n"
+    # The generators of every r are summed before any is built; at n = 19
+    # and p_max = 0 each r alone is under the limit: sum of r + 2^r, r <= 19.
+    huge = "size guard: more than 1000000000000000000 generators exceed the limit of 1000000\n"
+    sum_of_r = "size guard: 1048764 generators exceed the limit of 1000000\n"
+    for argv, message in ((["--n", "100"], huge), (["--n", "19", "--p-max", "0"], sum_of_r)):
+        for extra in ([], ["--json"]):
+            assert run_main(capsys, ["verify", *argv, *extra]) == (3, "", message)
 
 
 # -- bounds ----------------------------------------------------------------------
@@ -419,13 +448,13 @@ def test_dims_pushforward_computes_no_binomial_of_a_zero_piece(capsys, tmp_path,
     path = tmp_path / "one.json"
     path.write_text(json.dumps({"n": 20002, "middle": [[1, 19998, 1]]}), encoding="utf-8")
     code, out, err = run_main(capsys, ["dims", "--table", str(path), *argv])
-    assert calls == [(39999, 19999)]
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
-        assert (code, out) == (2, "")
+        # C(39999, 19999) >= 2^19999, past the limit before it is computed
+        assert (code, out, calls) == (2, "", [])
         assert err == f"error: pushforward_dim exceeds {limit} digits, the interpreter's limit\n"
     else:
-        assert code == 0
+        assert (code, calls) == (0, [(39999, 19999)])
 
 
 def test_dims_malformed_row_key_exits_two(capsys, tmp_path):

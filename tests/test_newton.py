@@ -407,6 +407,20 @@ def _random_non_convenient_support(rng, n):
             return support
 
 
+def _five_variable_support(rng, convenient):
+    """Pure powers up to 8 when convenient, plus 2 to 6 points of [0, 4]^5
+    with about half the entries zero, so many projections miss the origin."""
+    support = set()
+    if convenient:
+        support.update(tuple(rng.randint(2, 8) * (j == i) for j in range(5)) for i in range(5))
+    size = len(support) + rng.randint(2, 6)
+    while len(support) < size:
+        e = tuple(0 if rng.random() < 0.5 else rng.randint(1, 4) for _ in range(5))
+        if any(e):
+            support.add(e)
+    return support
+
+
 def test_vertices_match_lp_oracle():
     rng = random.Random(6006)
     supports = []
@@ -414,6 +428,8 @@ def test_vertices_match_lp_oracle():
         n = rng.randint(2, 4)
         make = _random_non_convenient_support if k % 2 else _random_convenient_support
         supports.append(make(rng, n))
+    # n = 5 has 30 proper projections, so the most lifted faces.
+    supports += [_five_variable_support(rng, convenient=k % 2 == 0) for k in range(40)]
     for support in supports + _interior_supports(6007, 24):
         np_ = compute_polyhedron(_polynomial(support))
         assert np_.vertices == vertex_oracle(support), sorted(support)

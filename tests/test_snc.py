@@ -274,6 +274,31 @@ def test_generator_guard_counts_what_is_built(monkeypatch):
         weighted_hodge_ideal_snc(SncModel(5, 5), 2, 3)
 
 
+def test_generator_guard_sums_every_r(monkeypatch):
+    built = []
+
+    class Counting(MonomialIdeal):
+        def __init__(self, n, generators):
+            generators = list(generators)
+            built.append(len(generators))
+            super().__init__(n, generators)
+
+    monkeypatch.setattr(whideal.snc, "MonomialIdeal", Counting)
+    default = whideal.snc.SNC_GENERATOR_LIMIT
+    for n, p_max in [(1, 0), (3, 2), (5, 1), (6, 3)]:
+        monkeypatch.setattr(whideal.snc, "SNC_GENERATOR_LIMIT", default)
+        built.clear()
+        for r in range(1, n + 1):
+            verify_snc_theorems(SncModel(n, r), p_max)
+        # one principal ideal per p and r is built for its check, not in the ladder
+        count = sum(built) - n * (p_max + 1)
+        monkeypatch.setattr(whideal.snc, "SNC_GENERATOR_LIMIT", count)
+        whideal.snc.refuse_generators_past_limit(p_max, range(1, n + 1))
+        monkeypatch.setattr(whideal.snc, "SNC_GENERATOR_LIMIT", count - 1)
+        with pytest.raises(SizeGuardError, match=f"^{count} generators exceed the limit of {count - 1}$"):
+            whideal.snc.refuse_generators_past_limit(p_max, range(1, n + 1))
+
+
 def test_check_guard_counts_the_checks_times_n(monkeypatch):
     default = whideal.snc.SNC_CHECK_LIMIT
     sizes = [(n, p_max) for n in range(1, 6) for p_max in range(4)]
